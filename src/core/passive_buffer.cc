@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "src/eden/metrics.h"
-
 namespace eden {
 
 PassiveBuffer::PassiveBuffer(Kernel& kernel, Options options)
@@ -44,11 +42,7 @@ Task<void> PassiveBuffer::BandLoop(Band band) {
     // overtakes whatever data is still queued there too (and is exempt
     // from the output face's flow control).
     co_await server_.Write(kChanOut, std::move(*item), band);
-    if (MetricsRegistry* m = kernel().metrics()) {
-      // The pipe's store is the sum of both faces.
-      m->RecordQueueDepth("pipe", uid(),
-                          acceptor_.buffered(kChanIn) + server_.buffered(kChanOut));
-    }
+    // The pipe's store is the sum of both faces.
     kernel().ObserveQueueDepth(
         "pipe", uid(),
         acceptor_.buffered(kChanIn) + server_.buffered(kChanOut));

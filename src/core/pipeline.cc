@@ -6,10 +6,6 @@
 
 #include "src/core/pipeline_verify.h"
 
-#include "src/eden/metrics.h"
-#include "src/eden/monitor.h"
-#include "src/eden/telemetry.h"
-#include "src/eden/trace.h"
 
 namespace eden {
 
@@ -390,42 +386,6 @@ void FillStageNames(PipelineHandle& handle) {
 }
 
 }  // namespace
-
-void PipelineHandle::LabelAll(TraceRecorder& recorder) const {
-  for (size_t i = 0; i < ejects.size() && i < stage_names.size(); ++i) {
-    recorder.Label(ejects[i], stage_names[i]);
-  }
-  if (!monitor.IsNil()) {
-    recorder.Label(monitor, "monitor");
-  }
-}
-
-void PipelineHandle::LabelAll(MetricsRegistry& metrics) const {
-  for (size_t i = 0; i < ejects.size() && i < stage_names.size(); ++i) {
-    metrics.Label(ejects[i], stage_names[i]);
-  }
-  if (!monitor.IsNil()) {
-    metrics.Label(monitor, "monitor");
-  }
-}
-
-void PipelineHandle::LabelAll(InvariantMonitor& checker) const {
-  for (size_t i = 0; i < ejects.size() && i < stage_names.size(); ++i) {
-    checker.Label(ejects[i], stage_names[i]);
-  }
-  if (!monitor.IsNil()) {
-    checker.Label(monitor, "monitor");
-  }
-}
-
-void PipelineHandle::LabelAll(TelemetrySampler& telemetry) const {
-  for (size_t i = 0; i < ejects.size() && i < stage_names.size(); ++i) {
-    telemetry.Label(ejects[i], stage_names[i]);
-  }
-  if (!monitor.IsNil()) {
-    telemetry.Label(monitor, "monitor");
-  }
-}
 
 PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
                              const std::vector<TransformFactory>& stages,

@@ -29,11 +29,6 @@
 
 namespace eden {
 
-class InvariantMonitor;
-class MetricsRegistry;
-class TelemetrySampler;
-class TraceRecorder;
-
 enum class Discipline { kReadOnly, kWriteOnly, kConventional };
 
 std::string_view DisciplineName(Discipline discipline);
@@ -125,12 +120,18 @@ struct PipelineHandle {
                                 : (push_sink != nullptr ? push_sink->first_item_at() : -1);
   }
 
-  // Registers every stage's role name (plus the monitor, if any) so trace
+  // Registers every stage's role name (plus the monitor, if any) with an
+  // instrument — tracer, metrics, invariant monitor or telemetry — so trace
   // charts and metric snapshots print "filter1" instead of a raw UID.
-  void LabelAll(TraceRecorder& recorder) const;
-  void LabelAll(MetricsRegistry& metrics) const;
-  void LabelAll(InvariantMonitor& checker) const;
-  void LabelAll(TelemetrySampler& telemetry) const;
+  template <typename Instrument>
+  void LabelAll(Instrument& instrument) const {
+    for (size_t i = 0; i < ejects.size() && i < stage_names.size(); ++i) {
+      instrument.Label(ejects[i], stage_names[i]);
+    }
+    if (!monitor.IsNil()) {
+      instrument.Label(monitor, "monitor");
+    }
+  }
 };
 
 // Builds the pipeline and starts it; run the kernel until handle.done().

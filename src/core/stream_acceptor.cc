@@ -58,9 +58,6 @@ Value StreamAcceptor::PushReply(const InChannel& channel) const {
 }
 
 void StreamAcceptor::RecordDepth(const InChannel& channel) const {
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("acceptor", owner_.uid(), Depth(channel));
-  }
   owner_.kernel().ObserveQueueDepth("acceptor", owner_.uid(), Depth(channel));
 }
 
@@ -134,9 +131,6 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     // already parked — joining behind them keeps releases FIFO). Withhold
     // the reply until the owner drains below lowat. Control pushes are
     // exempt: they must overtake data, not park behind it.
-    if (MetricsRegistry* m = owner_.kernel().metrics()) {
-      m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kHiwatHit);
-    }
     owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
                                      FlowEvent::kHiwatHit);
     ch->withheld.push_back(ctx.TakeReply());
@@ -190,9 +184,6 @@ Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
     taken.item = std::move(ch->control.front());
     ch->control.pop_front();
     if (!ch->buffer.empty()) {
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kBandOvertake);
-      }
       owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
                                        FlowEvent::kBandOvertake);
     }
@@ -227,9 +218,6 @@ Task<std::optional<Value>> StreamAcceptor::NextOnBand(std::string_view channel,
   }
   owner_.kernel().CountLocalStep();
   if (band == Band::kControl && !ch->buffer.empty()) {
-    if (MetricsRegistry* m = owner_.kernel().metrics()) {
-      m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kBandOvertake);
-    }
     owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
                                      FlowEvent::kBandOvertake);
   }
@@ -277,9 +265,6 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   ch->consumed--;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
-  }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kPutBack);
   }
   owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
                                    FlowEvent::kPutBack);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 
 namespace eden {
@@ -75,9 +74,6 @@ void StreamReader::Ingest(InvokeResult result) {
     if (status_.ok()) {
       status_ = Status(StatusCode::kEndOfStream);
     }
-  }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
   }
   owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
 }
@@ -158,9 +154,6 @@ Task<std::optional<Value>> StreamReader::Next() {
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1);
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
-  }
   owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {
     // Only the lookahead fetch process ever waits on room_; in inline mode
@@ -198,9 +191,6 @@ Task<ValueList> StreamReader::NextBatch() {
     if (!items.empty()) {
       mon->OnConsumed(owner_.uid(), owner_.kernel().now(), items.size());
     }
-  }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
   }
   owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {

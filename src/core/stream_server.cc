@@ -53,9 +53,6 @@ bool StreamServer::WriteBlocked(OutChannel& channel) {
   if (depth >= channel.limits.hiwat) {
     if (!channel.flow_blocked) {
       channel.flow_blocked = true;
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        m->CountFlowEvent("server", owner_.uid(), FlowEvent::kHiwatHit);
-      }
       owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
                                        FlowEvent::kHiwatHit);
     }
@@ -101,9 +98,6 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("server", owner_.uid(), Depth(*ch));
-  }
   owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
   Pump(*ch);
 }
@@ -141,10 +135,6 @@ void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   // produced — conservation must see it before Pump serves it.
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
-  }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->CountFlowEvent("server", owner_.uid(), FlowEvent::kPutBack);
-    m->RecordQueueDepth("server", owner_.uid(), Depth(*ch));
   }
   owner_.kernel().ObserveFlowEvent("server", owner_.uid(), FlowEvent::kPutBack);
   owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
@@ -270,23 +260,13 @@ void StreamServer::Pump(OutChannel& channel) {
     if (redelivered) {
       owner_.kernel().stats().redeliveries++;
     }
-    if (overtakes > 0) {
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        for (size_t n = overtakes; n > 0; --n) {
-          m->CountFlowEvent("server", owner_.uid(), FlowEvent::kBandOvertake);
-        }
-      }
-      for (; overtakes > 0; --overtakes) {
-        owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
-                                         FlowEvent::kBandOvertake);
-      }
+    for (; overtakes > 0; --overtakes) {
+      owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
+                                       FlowEvent::kBandOvertake);
     }
     request.reply.Reply(channel.sequenced
                             ? MakeBatchReply(std::move(items), end, first)
                             : MakeBatchReply(std::move(items), end));
-  }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("server", owner_.uid(), Depth(channel));
   }
   owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(channel));
   // Back-enable the producer under the lowat rule: closed channels and

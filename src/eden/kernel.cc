@@ -993,15 +993,14 @@ bool Kernel::RunSequential(const std::function<bool()>& done, uint64_t max_event
   return done ? done() : quiescent();
 }
 
-bool Kernel::Run(uint64_t max_events) {
-  const bool parallel = CanRunParallel();
+template <typename Body>
+bool Kernel::RunBracketed(bool parallel, Body&& body) {
   uint64_t events_before = 0;
   if (profiler_ != nullptr) {
     profiler_->OnRunStart(shard_count());
     events_before = stats_.events_processed.load(std::memory_order_relaxed);
   }
-  bool result = parallel ? RunSharded(nullptr, max_events)
-                         : RunSequential(nullptr, max_events);
+  const bool result = body();
   PublishShardMetrics();
   if (profiler_ != nullptr) {
     profiler_->OnRunEnd(
@@ -1013,47 +1012,29 @@ bool Kernel::Run(uint64_t max_events) {
 
 bool Kernel::RunUntil(const std::function<bool()>& done, uint64_t max_events) {
   const bool parallel = CanRunParallel();
-  uint64_t events_before = 0;
-  if (profiler_ != nullptr) {
-    profiler_->OnRunStart(shard_count());
-    events_before = stats_.events_processed.load(std::memory_order_relaxed);
-  }
-  bool result = parallel ? RunSharded(done, max_events)
-                         : RunSequential(done, max_events);
-  PublishShardMetrics();
-  if (profiler_ != nullptr) {
-    profiler_->OnRunEnd(
-        stats_.events_processed.load(std::memory_order_relaxed) - events_before,
-        parallel);
-  }
-  return result;
+  return RunBracketed(parallel, [&] {
+    return parallel ? RunSharded(done, max_events)
+                    : RunSequential(done, max_events);
+  });
 }
 
 void Kernel::RunFor(Tick duration, uint64_t max_events) {
-  uint64_t events_before = 0;
-  if (profiler_ != nullptr) {
-    profiler_->OnRunStart(shard_count());
-    events_before = stats_.events_processed.load(std::memory_order_relaxed);
-  }
-  Tick deadline = now() + duration;
-  for (uint64_t i = 0; i < max_events; ++i) {
-    Shard* best = MinShard();
-    if (best == nullptr || best->queue.next_time() > deadline) {
-      break;
+  RunBracketed(/*parallel=*/false, [&] {
+    Tick deadline = now() + duration;
+    for (uint64_t i = 0; i < max_events; ++i) {
+      Shard* best = MinShard();
+      if (best == nullptr || best->queue.next_time() > deadline) {
+        break;
+      }
+      Step();
     }
-    Step();
-  }
-  for (auto& shard : shards_) {
-    if (shard->clock.now() < deadline) {
-      shard->clock.AdvanceTo(deadline);
+    for (auto& shard : shards_) {
+      if (shard->clock.now() < deadline) {
+        shard->clock.AdvanceTo(deadline);
+      }
     }
-  }
-  PublishShardMetrics();
-  if (profiler_ != nullptr) {
-    profiler_->OnRunEnd(
-        stats_.events_processed.load(std::memory_order_relaxed) - events_before,
-        /*parallel=*/false);
-  }
+    return true;
+  });
 }
 
 void Kernel::DrainMailbox(Shard& shard) {
@@ -1218,15 +1199,59 @@ void Kernel::PublishShardMetrics() {
 
 // ----------------------------------------------------------------- observation
 
+Kernel::ObsRecord* Kernel::BufferObservation(ObsRecord::Kind kind) {
+  if (!(OnOwnContext() && tls_ctx_.parallel)) {
+    return nullptr;
+  }
+  ObsRecord& record = tls_ctx_.shard->observations.emplace_back();
+  record.key = tls_ctx_.event_key;
+  record.sub = tls_ctx_.obs_sub++;
+  record.kind = kind;
+  return &record;
+}
+
 void Kernel::Observe(const TraceEvent& event) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.event = event;
-    tls_ctx_.shard->observations.push_back(std::move(record));
+  if (ObsRecord* record = BufferObservation(ObsRecord::Kind::kTrace)) {
+    record->event = event;
     return;
   }
+  DeliverTrace(event);
+}
+
+void Kernel::ObserveQueueDepthSlow(std::string_view component, const Uid& owner,
+                                   size_t depth) {
+  if (metrics_ != nullptr) {
+    metrics_->RecordQueueDepth(component, owner, depth);
+  }
+  if (telemetry_ != nullptr) {
+    ObserveQueueFact(ObsRecord::Kind::kQueueDepth, component, owner, depth);
+  }
+}
+
+void Kernel::ObserveFlowEventSlow(std::string_view component, const Uid& owner,
+                                  FlowEvent event) {
+  if (metrics_ != nullptr) {
+    metrics_->CountFlowEvent(component, owner, event);
+  }
+  if (telemetry_ != nullptr) {
+    ObserveQueueFact(ObsRecord::Kind::kFlowEvent, component, owner,
+                     static_cast<uint64_t>(event));
+  }
+}
+
+void Kernel::ObserveQueueFact(ObsRecord::Kind kind, std::string_view component,
+                              const Uid& owner, uint64_t value) {
+  if (ObsRecord* record = BufferObservation(kind)) {
+    record->component = std::string(component);
+    record->owner = owner;
+    record->at = now();
+    record->value = value;
+    return;
+  }
+  DeliverQueueFact(kind, component, owner, now(), value);
+}
+
+void Kernel::DeliverTrace(const TraceEvent& event) {
   if (tracer_) {
     tracer_(event);
   }
@@ -1238,38 +1263,13 @@ void Kernel::Observe(const TraceEvent& event) {
   }
 }
 
-void Kernel::ObserveQueueDepthSlow(std::string_view component, const Uid& owner,
-                                   size_t depth) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.kind = ObsRecord::Kind::kQueueDepth;
-    record.component = std::string(component);
-    record.owner = owner;
-    record.at = now();
-    record.value = depth;
-    tls_ctx_.shard->observations.push_back(std::move(record));
-    return;
+void Kernel::DeliverQueueFact(ObsRecord::Kind kind, std::string_view component,
+                              const Uid& owner, Tick at, uint64_t value) {
+  if (kind == ObsRecord::Kind::kQueueDepth) {
+    telemetry_->OnQueueDepth(component, owner, at, value);
+  } else {
+    telemetry_->OnFlowEvent(component, owner, at, static_cast<FlowEvent>(value));
   }
-  telemetry_->OnQueueDepth(component, owner, now(), depth);
-}
-
-void Kernel::ObserveFlowEventSlow(std::string_view component, const Uid& owner,
-                                  FlowEvent event) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.kind = ObsRecord::Kind::kFlowEvent;
-    record.component = std::string(component);
-    record.owner = owner;
-    record.at = now();
-    record.value = static_cast<uint64_t>(event);
-    tls_ctx_.shard->observations.push_back(std::move(record));
-    return;
-  }
-  telemetry_->OnFlowEvent(component, owner, now(), event);
 }
 
 void Kernel::FlushObservations() {
@@ -1297,30 +1297,11 @@ void Kernel::FlushObservations() {
     return a.key < b.key;
   });
   for (const ObsRecord& record : merged) {
-    switch (record.kind) {
-      case ObsRecord::Kind::kTrace:
-        if (tracer_) {
-          tracer_(record.event);
-        }
-        if (monitor_ != nullptr) {
-          monitor_->OnTraceEvent(record.event);
-        }
-        if (telemetry_ != nullptr) {
-          telemetry_->OnTraceEvent(record.event);
-        }
-        break;
-      case ObsRecord::Kind::kQueueDepth:
-        if (telemetry_ != nullptr) {
-          telemetry_->OnQueueDepth(record.component, record.owner, record.at,
-                                   record.value);
-        }
-        break;
-      case ObsRecord::Kind::kFlowEvent:
-        if (telemetry_ != nullptr) {
-          telemetry_->OnFlowEvent(record.component, record.owner, record.at,
-                                  static_cast<FlowEvent>(record.value));
-        }
-        break;
+    if (record.kind == ObsRecord::Kind::kTrace) {
+      DeliverTrace(record.event);
+    } else {
+      DeliverQueueFact(record.kind, record.component, record.owner, record.at,
+                       record.value);
     }
   }
 }

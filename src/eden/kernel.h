@@ -296,7 +296,9 @@ class Kernel {
   bool Step();  // processes one event; false if queues empty
   // Runs until quiescent; false if max_events was hit first. Goes wide
   // (shard worker threads) when the options allow it; see KernelOptions.
-  bool Run(uint64_t max_events = kDefaultMaxEvents);
+  bool Run(uint64_t max_events = kDefaultMaxEvents) {
+    return RunUntil(nullptr, max_events);
+  }
   void RunFor(Tick duration, uint64_t max_events = kDefaultMaxEvents);
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_events = kDefaultMaxEvents);
@@ -381,19 +383,20 @@ class Kernel {
   void set_auditor(ShardAuditor* auditor) { auditor_ = auditor; }
   ShardAuditor* auditor() const { return auditor_; }
 
-  // Telemetry feed from the stream primitives: a queue-depth sample, or a
-  // flow-control incident (FlowEvent, metrics.h). Stamped with now() and
-  // routed through the same deterministic observation merge as trace events.
-  // One pointer test when no sampler is installed.
+  // The stream primitives' one feed for queue facts: a queue-depth sample,
+  // or a flow-control incident (FlowEvent, metrics.h). The metrics registry
+  // records the fact at once, on the calling thread; telemetry receives it
+  // stamped with now(), through the same deterministic observation merge as
+  // trace events. Two pointer tests when neither instrument is installed.
   void ObserveQueueDepth(std::string_view component, const Uid& owner,
                          size_t depth) {
-    if (telemetry_ != nullptr) {
+    if (metrics_ != nullptr || telemetry_ != nullptr) {
       ObserveQueueDepthSlow(component, owner, depth);
     }
   }
   void ObserveFlowEvent(std::string_view component, const Uid& owner,
                         FlowEvent event) {
-    if (telemetry_ != nullptr) {
+    if (metrics_ != nullptr || telemetry_ != nullptr) {
       ObserveFlowEventSlow(component, owner, event);
     }
   }
@@ -571,9 +574,10 @@ class Kernel {
   void FireDeadline(InvocationId id);
   void TearDown(const Uid& uid, bool is_crash);
   void FailDeliveredPendingFor(Shard& shard, const Uid& target);
-  // Fans a trace event out to the tracer and the invariant monitor (or, in a
-  // parallel phase, buffers it for the deterministic window merge). Callers
-  // gate on `observing()` so the unset fast path stays cheap.
+  // Fans a trace event out to the tracer, the invariant monitor and
+  // telemetry (or, in a parallel phase, buffers it for the deterministic
+  // window merge). Callers gate on `observing()` so the unset fast path
+  // stays cheap.
   bool observing() const {
     return tracer_ != nullptr || monitor_ != nullptr || telemetry_ != nullptr;
   }
@@ -583,12 +587,28 @@ class Kernel {
                              size_t depth);
   void ObserveFlowEventSlow(std::string_view component, const Uid& owner,
                             FlowEvent event);
+  // Telemetry's share of a queue fact: buffered or delivered now.
+  void ObserveQueueFact(ObsRecord::Kind kind, std::string_view component,
+                        const Uid& owner, uint64_t value);
+  // Inside a parallel phase: a new record at the end of the shard's buffer,
+  // stamped with the event key and in-event ordinal. Otherwise null, and
+  // the caller delivers at once.
+  ObsRecord* BufferObservation(ObsRecord::Kind kind);
+  // The one fan-out per observation kind, shared by the immediate path and
+  // the window merge.
+  void DeliverTrace(const TraceEvent& event);
+  void DeliverQueueFact(ObsRecord::Kind kind, std::string_view component,
+                        const Uid& owner, Tick at, uint64_t value);
 
   void ExecuteEvent(Shard& shard, int shard_index, EventQueue::PoppedEvent event,
                     bool parallel);
   Shard* MinShard();  // shard owning the globally earliest event, or null
   Tick EffectiveLookahead() const;
   bool CanRunParallel() const;
+  // Every run entry point's bracket: profiler OnRunStart/OnRunEnd around
+  // `body`, and the shard counters published to the metrics registry.
+  template <typename Body>
+  bool RunBracketed(bool parallel, Body&& body);
   bool RunSequential(const std::function<bool()>& done, uint64_t max_events);
   bool RunSharded(const std::function<bool()>& done, uint64_t max_events);
   void DrainMailbox(Shard& shard);

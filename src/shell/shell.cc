@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 #include <fstream>
@@ -85,7 +86,17 @@ ShellResult SaveText(const std::string& path, const std::string& text,
 
 }  // namespace
 
-EdenShell::EdenShell(Kernel& kernel, HostFs* host) : kernel_(kernel), host_(host) {}
+EdenShell::EdenShell(Kernel& kernel, HostFs* host) : kernel_(kernel), host_(host) {
+  // Checker violations double as trace events and monitor violations. Wired
+  // once here, so the order instruments are switched on in cannot matter.
+  monitor_.set_trace_sink(recorder_.Hook());
+  lockdep_.set_trace_sink(recorder_.Hook());
+  audit_.set_trace_sink(recorder_.Hook());
+  audit_.set_monitor(&monitor_);
+  slo_.set_trace_sink(recorder_.Hook());
+  slo_.set_monitor(&monitor_);
+  telemetry_.set_slo(&slo_);
+}
 
 std::optional<Uid> EdenShell::Resolve(const std::string& name) const {
   auto it = bindings_.find(name);
@@ -173,19 +184,217 @@ bool EdenShell::Parse(const std::string& input, std::vector<Stage>& stages,
   return true;
 }
 
+// One row per shell-owned instrument. Every row answers
+// `NAME on|off|show|json|clear`; `save FILE` writes the json text where
+// `savable`; `on ARG` and one extra verb exist where the row has a handler.
+struct EdenShell::Instrument {
+  std::string_view name;
+  std::string_view usage;
+  void (*set)(EdenShell&, bool on);  // install on / remove from the kernel
+  void (*show)(EdenShell&, ShellResult&);
+  std::string (*json)(EdenShell&);
+  void (*clear)(EdenShell&);
+  bool savable = false;
+  bool bare_is_show = false;  // `NAME` alone means `NAME show`
+  // Names a pipeline stage in this instrument's output.
+  void (*label)(EdenShell&, const Uid&, const std::string&) = nullptr;
+  // `NAME on ARG`: applies ARG before installing, or returns the error.
+  std::optional<std::string> (*on_arg)(EdenShell&, const std::string&) = nullptr;
+  std::string_view extra_verb = {};
+  void (*extra)(EdenShell&, ShellResult&) = nullptr;
+};
+
+const EdenShell::Instrument EdenShell::kInstruments[] = {
+    {.name = "trace",
+     .usage = "usage: trace on [CAP]|off|show|json|clear|save FILE",
+     .set =
+         [](EdenShell& s, bool on) {
+           if (on && s.recorder_.capacity() == 0) {
+             s.recorder_.set_capacity(kDefaultTraceCapacity);
+           }
+           s.kernel_.set_tracer(on ? s.recorder_.Hook() : Tracer());
+         },
+     .show = [](EdenShell& s, ShellResult& r) { PushLines(r, s.recorder_.Render()); },
+     .json =
+         [](EdenShell& s) {
+           // Counter tracks ride along when the sampler is on, so the series
+           // graph next to the spans in Perfetto.
+           ChromeTraceExporter exporter(s.recorder_);
+           if (s.Installed("telemetry")) {
+             exporter.set_telemetry(&s.telemetry_);
+           }
+           return exporter.Export();
+         },
+     .clear = [](EdenShell& s) { s.recorder_.Clear(); },
+     .savable = true,
+     .label = [](EdenShell& s, const Uid& uid, const std::string& n) { s.recorder_.Label(uid, n); },
+     .on_arg = [](EdenShell& s, const std::string& arg) -> std::optional<std::string> {
+       std::optional<uint64_t> capacity = ParseCount(arg);
+       if (!capacity || *capacity == 0) {
+         return "usage: trace on [CAP]  (CAP: positive integer)";
+       }
+       s.recorder_.set_capacity(*capacity);
+       return std::nullopt;
+     }},
+    {.name = "metrics",
+     .usage = "usage: metrics on|off|show|json|clear|save FILE",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_metrics(on ? &s.metrics_ : nullptr); },
+     .show = [](EdenShell& s, ShellResult& r) { PushLines(r, s.metrics_.ToString()); },
+     .json = [](EdenShell& s) { return s.metrics_.ToJson(); },
+     .clear = [](EdenShell& s) { s.metrics_.Clear(); },
+     .savable = true,
+     .label = [](EdenShell& s, const Uid& uid, const std::string& n) { s.metrics_.Label(uid, n); }},
+    {.name = "monitor",
+     .usage = "usage: monitor on|off|show|json|clear",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_monitor(on ? &s.monitor_ : nullptr); },
+     .show = [](EdenShell& s, ShellResult& r) { PushLines(r, s.monitor_.ToString()); },
+     .json = [](EdenShell& s) { return ValueToJson(s.monitor_.ToValue()); },
+     .clear = [](EdenShell& s) { s.monitor_.Clear(); },
+     .label = [](EdenShell& s, const Uid& uid, const std::string& n) { s.monitor_.Label(uid, n); }},
+    {.name = "profile",
+     .usage = "usage: profile on|off|show|json|clear|save FILE",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_profiler(on ? &s.profiler_ : nullptr); },
+     .show =
+         [](EdenShell& s, ShellResult& r) {
+           PushLines(r, s.profiler_.ToString());
+           ParallelVerdict verdict = DiagnoseParallel(s.profiler_);
+           if (verdict.valid) {
+             r.output.push_back(verdict.ToLine());
+           }
+         },
+     .json = [](EdenShell& s) { return ShardProfileExporter(s.profiler_).Export(); },
+     .clear = [](EdenShell& s) { s.profiler_.Clear(); },
+     .savable = true},
+    {.name = "telemetry",
+     .usage = "usage: telemetry on [CADENCE]|off|show|json|topk|clear|save FILE",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_telemetry(on ? &s.telemetry_ : nullptr); },
+     .show =
+         [](EdenShell& s, ShellResult& r) {
+           PushLines(r, s.telemetry_.ToString());
+           TelemetryVerdict verdict = DiagnoseTelemetry(s.telemetry_);
+           if (verdict.valid) {
+             r.output.push_back(verdict.ToLine());
+           }
+         },
+     .json = [](EdenShell& s) { return s.telemetry_.ToJson(); },
+     .clear = [](EdenShell& s) { s.telemetry_.Clear(); },
+     .savable = true,
+     .label = [](EdenShell& s, const Uid& uid,
+                 const std::string& n) { s.telemetry_.Label(uid, n); },
+     .on_arg = [](EdenShell& s, const std::string& arg) -> std::optional<std::string> {
+       std::optional<uint64_t> cadence = ParseCount(arg);
+       if (!cadence || *cadence == 0) {
+         return "usage: telemetry on [CADENCE]  (CADENCE: positive ticks per window)";
+       }
+       TelemetrySampler::Options options = s.telemetry_.options();
+       options.cadence = static_cast<Tick>(*cadence);
+       s.telemetry_.Reset(options);
+       return std::nullopt;
+     },
+     .extra_verb = "topk",
+     .extra =
+         [](EdenShell& s, ShellResult& r) {
+           auto push_top = [&r](const std::string& title,
+                                const std::vector<TelemetrySampler::TopEntry>& top,
+                                uint64_t total) {
+             std::ostringstream out;
+             out << title << " (of " << total << "):";
+             if (top.empty()) {
+               out << " none";
+             }
+             for (const TelemetrySampler::TopEntry& entry : top) {
+               out << " " << entry.name << "=" << entry.count;
+               if (entry.error > 0) {
+                 out << "(-" << entry.error << ")";
+               }
+             }
+             r.output.push_back(out.str());
+           };
+           push_top("top stages by invocations", s.telemetry_.TopInvocations(),
+                    s.telemetry_.invocation_total());
+           push_top("top queues by hiwat hits", s.telemetry_.TopHiwat(),
+                    s.telemetry_.hiwat_total());
+         }},
+    {.name = "lockdep",
+     .usage = "usage: lockdep on|off|show|json|clear|selftest",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_lock_observer(on ? &s.lockdep_ : nullptr); },
+     .show = [](EdenShell& s, ShellResult& r) { PushLines(r, s.lockdep_.ToString()); },
+     .json = [](EdenShell& s) { return ValueToJson(s.lockdep_.ToValue()); },
+     .clear = [](EdenShell& s) { s.lockdep_.Clear(); },
+     .bare_is_show = true,
+     .extra_verb = "selftest",
+     .extra =
+         [](EdenShell&, ShellResult& r) {
+           std::string report;
+           r.ok = verify::LockOrderAnalyzer::SelfTest(&report);
+           PushLines(r, report);
+           r.output.push_back(r.ok ? "selftest passed" : "selftest FAILED");
+         }},
+    {.name = "audit",
+     .usage = "usage: audit on|off|show|json|clear|save FILE",
+     .set = [](EdenShell& s, bool on) { s.kernel_.set_auditor(on ? &s.audit_ : nullptr); },
+     .show = [](EdenShell& s, ShellResult& r) { PushLines(r, s.audit_.ToString()); },
+     .json = [](EdenShell& s) { return s.audit_.ToJson(); },
+     .clear = [](EdenShell& s) { s.audit_.Clear(); },
+     .savable = true,
+     .bare_is_show = true},
+};
+
+size_t EdenShell::InstrumentIndex(std::string_view name) {
+  size_t i = 0;
+  while (i < std::size(kInstruments) && kInstruments[i].name != name) {
+    ++i;
+  }
+  return i;
+}
+
+bool EdenShell::Installed(std::string_view name) const {
+  return (installed_ >> InstrumentIndex(name)) & 1U;
+}
+
 void EdenShell::LabelStage(const Uid& uid, const std::string& name) {
-  if (trace_on_) {
-    recorder_.Label(uid, name);
+  for (size_t i = 0; i < std::size(kInstruments); ++i) {
+    if (kInstruments[i].label != nullptr && ((installed_ >> i) & 1U)) {
+      kInstruments[i].label(*this, uid, name);
+    }
   }
-  if (metrics_on_) {
-    metrics_.Label(uid, name);
+}
+
+ShellResult EdenShell::RunInstrument(size_t index, const std::vector<std::string>& words) {
+  const Instrument& inst = kInstruments[index];
+  const std::string name(inst.name);
+  const std::string verb = words.size() > 1 ? words[1] : (inst.bare_is_show ? "show" : "");
+  ShellResult result;
+  if (verb == "on" && (words.size() == 2 || (words.size() == 3 && inst.on_arg != nullptr))) {
+    if (words.size() == 3) {
+      if (std::optional<std::string> error = inst.on_arg(*this, words[2])) {
+        return Fail(*error);
+      }
+    }
+    inst.set(*this, true);
+    installed_ |= 1U << index;
+    result.output.push_back(name + " on");
+  } else if (verb == "save" && words.size() == 3 && inst.savable) {
+    return SaveText(words[2], inst.json(*this), name);
+  } else if (words.size() > 2) {
+    return Fail(std::string(inst.usage));
+  } else if (verb == "off") {
+    inst.set(*this, false);
+    installed_ &= ~(1U << index);
+    result.output.push_back(name + " off");
+  } else if (verb == "show") {
+    inst.show(*this, result);
+  } else if (verb == "json") {
+    PushLines(result, inst.json(*this));
+  } else if (verb == "clear") {
+    inst.clear(*this);
+    result.output.push_back(name + " cleared");
+  } else if (inst.extra != nullptr && verb == inst.extra_verb) {
+    inst.extra(*this, result);
+  } else {
+    return Fail(std::string(inst.usage));
   }
-  if (monitor_on_) {
-    monitor_.Label(uid, name);
-  }
-  if (telemetry_on_) {
-    telemetry_.Label(uid, name);
-  }
+  return result;
 }
 
 std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
@@ -195,13 +404,11 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
   while (stream >> word) {
     words.push_back(word);
   }
-  if (words.empty() ||
-      (words[0] != "stats" && words[0] != "trace" && words[0] != "metrics" &&
-       words[0] != "monitor" && words[0] != "doctor" && words[0] != "lint" &&
-       words[0] != "lockdep" && words[0] != "audit" && words[0] != "shards" &&
-       words[0] != "profile" && words[0] != "telemetry" && words[0] != "slo" &&
-       words[0] != "help")) {
+  if (words.empty()) {
     return std::nullopt;
+  }
+  if (size_t index = InstrumentIndex(words[0]); index < std::size(kInstruments)) {
+    return RunInstrument(index, words);
   }
   ShellResult result;
   if (words[0] == "help") {
@@ -268,93 +475,6 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
     }
     return Fail("usage: shards [N]  (N: positive integer)");
   }
-  if (words[0] == "trace") {
-    if (words.size() >= 2 && words[1] == "on" && words.size() <= 3) {
-      if (words.size() == 3) {
-        std::optional<uint64_t> capacity = ParseCount(words[2]);
-        if (!capacity || *capacity == 0) {
-          return Fail("usage: trace on [CAP]  (CAP: positive integer)");
-        }
-        recorder_.set_capacity(*capacity);
-      } else if (recorder_.capacity() == 0) {
-        recorder_.set_capacity(kDefaultTraceCapacity);
-      }
-      kernel_.set_tracer(recorder_.Hook());
-      trace_on_ = true;
-      result.output.push_back("trace on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_tracer(Tracer());
-      trace_on_ = false;
-      result.output.push_back("trace off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, recorder_.Render());
-    } else if ((words.size() == 2 && words[1] == "json") ||
-               (words.size() == 3 && words[1] == "save")) {
-      // Counter tracks ride along when the sampler is on, so the series
-      // graph next to the spans in Perfetto.
-      ChromeTraceExporter exporter(recorder_);
-      if (telemetry_on_) {
-        exporter.set_telemetry(&telemetry_);
-      }
-      if (words[1] == "save") {
-        return SaveText(words[2], exporter.Export(), "trace");
-      }
-      PushLines(result, exporter.Export());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      recorder_.Clear();
-      result.output.push_back("trace cleared");
-    } else {
-      return Fail("usage: trace on [CAP]|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "metrics") {
-    if (words.size() == 2 && words[1] == "on") {
-      kernel_.set_metrics(&metrics_);
-      metrics_on_ = true;
-      result.output.push_back("metrics on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_metrics(nullptr);
-      metrics_on_ = false;
-      result.output.push_back("metrics off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, metrics_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, metrics_.ToJson());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      metrics_.Clear();
-      result.output.push_back("metrics cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], metrics_.ToJson(), "metrics");
-    } else {
-      return Fail("usage: metrics on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "monitor") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Violations double as trace events, so a trace taken alongside the
-      // monitor shows *where* in the causal history the invariant broke.
-      monitor_.set_trace_sink(recorder_.Hook());
-      kernel_.set_monitor(&monitor_);
-      monitor_on_ = true;
-      result.output.push_back("monitor on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_monitor(nullptr);
-      monitor_on_ = false;
-      result.output.push_back("monitor off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, monitor_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ValueToJson(monitor_.ToValue()));
-    } else if (words.size() == 2 && words[1] == "clear") {
-      monitor_.Clear();
-      result.output.push_back("monitor cleared");
-    } else {
-      return Fail("usage: monitor on|off|show|json|clear");
-    }
-    return result;
-  }
   if (words[0] == "lint") {
     if (words.size() == 2 && words[1] == "rules") {
       for (const verify::PipelineLinter::RuleInfo& rule :
@@ -380,158 +500,6 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
     }
     return result;
   }
-  if (words[0] == "lockdep") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Violations double as trace events (same contract as the monitor).
-      lockdep_.set_trace_sink(recorder_.Hook());
-      kernel_.set_lock_observer(&lockdep_);
-      lockdep_on_ = true;
-      result.output.push_back("lockdep on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_lock_observer(nullptr);
-      lockdep_on_ = false;
-      result.output.push_back("lockdep off");
-    } else if (words.size() == 1 ||
-               (words.size() == 2 && words[1] == "show")) {
-      PushLines(result, lockdep_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ValueToJson(lockdep_.ToValue()));
-    } else if (words.size() == 2 && words[1] == "clear") {
-      lockdep_.Clear();
-      result.output.push_back("lockdep cleared");
-    } else if (words.size() == 2 && words[1] == "selftest") {
-      std::string report;
-      bool passed = verify::LockOrderAnalyzer::SelfTest(&report);
-      PushLines(result, report);
-      result.output.push_back(passed ? "selftest passed" : "selftest FAILED");
-      if (!passed) {
-        result.ok = false;
-      }
-    } else {
-      return Fail("usage: lockdep on|off|show|json|clear|selftest");
-    }
-    return result;
-  }
-  if (words[0] == "audit") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Breaches double as trace events and monitor violations (same
-      // contract as lockdep and the SLO engine).
-      audit_.set_trace_sink(recorder_.Hook());
-      audit_.set_monitor(monitor_on_ ? &monitor_ : nullptr);
-      kernel_.set_auditor(&audit_);
-      audit_on_ = true;
-      result.output.push_back("audit on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_auditor(nullptr);
-      audit_on_ = false;
-      result.output.push_back("audit off");
-    } else if (words.size() == 1 || (words.size() == 2 && words[1] == "show")) {
-      PushLines(result, audit_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, audit_.ToJson());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      audit_.Clear();
-      result.output.push_back("audit cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], audit_.ToJson(), "audit");
-    } else {
-      return Fail("usage: audit on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "profile") {
-    if (words.size() == 2 && words[1] == "on") {
-      kernel_.set_profiler(&profiler_);
-      profile_on_ = true;
-      result.output.push_back("profile on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_profiler(nullptr);
-      profile_on_ = false;
-      result.output.push_back("profile off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, profiler_.ToString());
-      ParallelVerdict verdict = DiagnoseParallel(profiler_);
-      if (verdict.valid) {
-        result.output.push_back(verdict.ToLine());
-      }
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ShardProfileExporter(profiler_).Export());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      profiler_.Clear();
-      result.output.push_back("profile cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], ShardProfileExporter(profiler_).Export(),
-                      "profile");
-    } else {
-      return Fail("usage: profile on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "telemetry") {
-    if (words.size() >= 2 && words[1] == "on" && words.size() <= 3) {
-      if (words.size() == 3) {
-        std::optional<uint64_t> cadence = ParseCount(words[2]);
-        if (!cadence || *cadence == 0) {
-          return Fail("usage: telemetry on [CADENCE]  (CADENCE: positive "
-                      "ticks per window)");
-        }
-        TelemetrySampler::Options options = telemetry_.options();
-        options.cadence = static_cast<Tick>(*cadence);
-        telemetry_.Reset(options);
-      }
-      // Alert firings join the trace (kViolation events next to the spans
-      // that caused them) and the monitor's violation ledger.
-      telemetry_.set_slo(&slo_);
-      slo_.set_trace_sink(recorder_.Hook());
-      slo_.set_monitor(&monitor_);
-      kernel_.set_telemetry(&telemetry_);
-      telemetry_on_ = true;
-      result.output.push_back("telemetry on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_telemetry(nullptr);
-      telemetry_on_ = false;
-      result.output.push_back("telemetry off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, telemetry_.ToString());
-      TelemetryVerdict verdict = DiagnoseTelemetry(telemetry_);
-      if (verdict.valid) {
-        result.output.push_back(verdict.ToLine());
-      }
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, telemetry_.ToJson());
-    } else if (words.size() == 2 && words[1] == "topk") {
-      auto push_top = [&result](const std::string& title,
-                                const std::vector<TelemetrySampler::TopEntry>&
-                                    top,
-                                uint64_t total) {
-        std::ostringstream out;
-        out << title << " (of " << total << "):";
-        if (top.empty()) {
-          out << " none";
-        }
-        for (const TelemetrySampler::TopEntry& entry : top) {
-          out << " " << entry.name << "=" << entry.count;
-          if (entry.error > 0) {
-            out << "(-" << entry.error << ")";
-          }
-        }
-        result.output.push_back(out.str());
-      };
-      push_top("top stages by invocations", telemetry_.TopInvocations(),
-               telemetry_.invocation_total());
-      push_top("top queues by hiwat hits", telemetry_.TopHiwat(),
-               telemetry_.hiwat_total());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      telemetry_.Clear();
-      result.output.push_back("telemetry cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], telemetry_.ToJson(), "telemetry");
-    } else {
-      return Fail(
-          "usage: telemetry on [CADENCE]|off|show|json|topk|clear|save FILE");
-    }
-    return result;
-  }
   if (words[0] == "slo") {
     if (words.size() >= 3 && words[1] == "add") {
       std::string spec;
@@ -554,15 +522,17 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
     }
     return result;
   }
-  // doctor
-  if (!trace_on_ && recorder_.size() == 0) {
+  if (words[0] != "doctor") {
+    return std::nullopt;
+  }
+  if (!Installed("trace") && recorder_.size() == 0) {
     result.output.push_back(
         "no trace recorder installed — run `trace on` first");
     return result;
   }
-  PipelineDoctor doctor(recorder_, metrics_on_ ? &metrics_ : nullptr,
-                        profile_on_ ? &profiler_ : nullptr,
-                        telemetry_on_ ? &telemetry_ : nullptr);
+  PipelineDoctor doctor(recorder_, Installed("metrics") ? &metrics_ : nullptr,
+                        Installed("profile") ? &profiler_ : nullptr,
+                        Installed("telemetry") ? &telemetry_ : nullptr);
   auto diagnose = [&] {
     Diagnosis d = doctor.Diagnose();
     if (have_topology_) {
@@ -571,7 +541,7 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
       d.AnnotateStatic(last_lint_.error_count(), last_lint_.warning_count(),
                        last_lint_.Summary());
     }
-    if (audit_on_) {
+    if (Installed("audit")) {
       verify::RunDigest digest = audit_.Digest();
       char hex[19];
       std::snprintf(hex, sizeof(hex), "0x%016llx",
@@ -596,7 +566,7 @@ void EdenShell::LintTopology(verify::TopologySpec topology) {
   last_topology_ = std::move(topology);
   have_topology_ = true;
   last_lint_ = verify::PipelineLinter().Lint(last_topology_);
-  if (monitor_on_) {
+  if (Installed("monitor")) {
     for (const verify::LintDiagnostic& diag : last_lint_.diagnostics) {
       if (diag.severity == verify::Severity::kError) {
         monitor_.OnStaticFinding(

@@ -36,9 +36,11 @@
 #ifndef SRC_SHELL_SHELL_H_
 #define SRC_SHELL_SHELL_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/devices/devices.h"
@@ -77,65 +79,34 @@ class EdenShell {
 
   // Parses and runs one pipeline to completion (bounded by max_events).
   //
-  // Besides pipelines, the shell understands observability commands:
+  // Besides pipelines, the shell understands control commands (`help`
+  // lists them, one line each):
   //   stats [json]             kernel counters since boot
-  //   trace on [CAP]|off       install/remove the shell's TraceRecorder
-  //                            (CAP bounds the event ring; default 65536)
-  //   trace show|json|clear    ASCII chart / Chrome trace JSON / reset
-  //   metrics on|off           install/remove the shell's MetricsRegistry
-  //   metrics show|json|clear  human-readable / JSON snapshot / reset
-  //   monitor on|off           install/remove the InvariantMonitor (its
-  //                            violations also land in the trace as events)
-  //   monitor show|json|clear  flow table + violations / JSON / reset
-  //   doctor [json]            PipelineDoctor diagnosis of the recorded
-  //                            trace (+ metrics / profile when on): critical
-  //                            path, bottleneck verdict, per-stage
-  //                            attribution, parallel wall-clock verdict
-  //   profile on|off           install/remove the wall-clock ShardProfiler
-  //                            (host-time phases per shard window; output
-  //                            stays byte-identical while it is on)
-  //   profile show             per-shard phase totals + parallel verdict
-  //   profile json|clear       Perfetto JSON (wall-clock tracks) / reset
-  //   profile save FILE        write the Perfetto JSON to FILE
-  //   trace save FILE          write the Chrome trace JSON to FILE
-  //                            (telemetry counter tracks ride along when the
-  //                            sampler is on)
-  //   metrics save FILE        write the metrics snapshot JSON to FILE
-  //   doctor save FILE         write the diagnosis JSON to FILE
-  //   telemetry on [CADENCE]   install the TelemetrySampler (windowed
-  //                            time-series on the merged observation stream;
-  //                            CADENCE ticks per window, default 1000)
-  //   telemetry off            remove it (series are kept until clear)
-  //   telemetry show|json      time-series tables / byte-stable JSON
-  //   telemetry topk           heavy-hitter tables (hottest stages by
-  //                            invocations, slowest consumers by hiwat hits)
-  //   telemetry clear          drop all series and sketches
-  //   telemetry save FILE      write the telemetry JSON to FILE
-  //   slo add SPEC             add an alert rule over a telemetry series:
+  //   shards [N]               show / set the kernel shard count
+  //   doctor [json|save FILE]  PipelineDoctor diagnosis of the recorded
+  //                            trace (+ metrics / profile / telemetry / audit
+  //                            when on): critical path, bottleneck verdict
+  //   slo add SPEC|list|clear  alert rules over telemetry series:
   //                            NAME SERIES CMP THRESHOLD [for N], e.g.
   //                            `slo add lag rate:invoke > 5000 for 3`
-  //   slo list                 rules and firings
-  //   slo clear                drop rules and firings
-  //   lint [json]              PipelineLinter report for the last pipeline
-  //                            this shell wired (re-lints on every pipeline;
-  //                            errors also join the monitor's violations and
-  //                            the doctor's verdict line)
-  //   lint rules               the rule table (ASC001..) with summaries
-  //   lockdep on|off           install/remove the LockOrderAnalyzer as the
-  //                            kernel's lock observer (violations land in
-  //                            the trace as kViolation events, like monitor)
-  //   lockdep [show|json|clear]  order graph + potential deadlocks / reset
-  //   lockdep selftest         seed an AB/BA inversion through the analyzer
-  //                            and report whether it was caught
-  //   audit on|off             install/remove the ShardRaceAnalyzer as the
-  //                            kernel's determinism auditor (happens-before
-  //                            checker + run-digest certifier; breaches land
-  //                            in the trace and the monitor like lockdep's)
-  //   audit show|json|clear    digest + violations / certificate JSON / reset
-  //   audit save FILE          write the run certificate JSON to FILE
-  //   help                     one line per command above
-  // While tracing, metering or monitoring is on, pipeline stages are labeled
-  // with their command names, so charts read "grep" rather than a raw UID.
+  //   lint [json|rules]        PipelineLinter report for the last pipeline
+  //                            this shell wired (errors also join the
+  //                            monitor's violations and the doctor's verdict)
+  // and one command per shell-owned instrument — trace, metrics, monitor,
+  // profile, telemetry, lockdep, audit — all served by one table
+  // (kInstruments in shell.cc) with the same verbs:
+  //   NAME on|off              install / remove it on the kernel
+  //   NAME show|json|clear     human-readable / JSON / reset
+  //   NAME save FILE           write the JSON to FILE (not monitor, lockdep)
+  // plus `trace on CAP` (event ring bound; default 65536), `telemetry on
+  // CADENCE` (ticks per window; default 1000), `telemetry topk` and
+  // `lockdep selftest`. Bare `lockdep` and `audit` mean `show`. Checker
+  // violations (monitor, lockdep, audit, slo) land in the trace as
+  // kViolation events, and audit and slo breaches also join the monitor's
+  // violations, whichever order the instruments are switched on in.
+  // While tracing, metering, monitoring or sampling is on, pipeline stages
+  // are labeled with their command names, so charts read "grep" rather than
+  // a raw UID.
   ShellResult Run(const std::string& command, uint64_t max_events = 2'000'000);
 
   // The shell-owned instruments (live across commands; inspectable in tests).
@@ -167,7 +138,15 @@ class EdenShell {
   bool Parse(const std::string& input, std::vector<Stage>& stages,
              std::string& error);
   ReportWindow& WindowOrCreate(const std::string& name);
-  // Handles stats/trace/metrics; nullopt if `command` is a pipeline.
+  // The instrument table (shell.cc): one row per shell-owned instrument.
+  struct Instrument;
+  static const Instrument kInstruments[];
+  // Row of the instrument called `name`; std::size(kInstruments) if none.
+  static size_t InstrumentIndex(std::string_view name);
+  bool Installed(std::string_view name) const;
+  ShellResult RunInstrument(size_t index, const std::vector<std::string>& words);
+
+  // Handles the control commands; nullopt if `command` is a pipeline.
   std::optional<ShellResult> RunControl(const std::string& command);
   // Labels `uid` in whichever instruments are currently installed.
   void LabelStage(const Uid& uid, const std::string& name);
@@ -190,13 +169,7 @@ class EdenShell {
   verify::TopologySpec last_topology_;
   verify::LintReport last_lint_;
   bool have_topology_ = false;
-  bool trace_on_ = false;
-  bool metrics_on_ = false;
-  bool monitor_on_ = false;
-  bool lockdep_on_ = false;
-  bool audit_on_ = false;
-  bool profile_on_ = false;
-  bool telemetry_on_ = false;
+  uint32_t installed_ = 0;  // bit i: kInstruments[i] is installed
   std::map<std::string, Uid> bindings_;
   std::map<std::string, TerminalSink*> terminals_;
   std::map<std::string, PrinterSink*> printers_;

@@ -16,6 +16,7 @@
 #include "src/core/pipeline.h"
 #include "src/eden/analysis.h"
 #include "src/eden/json.h"
+#include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 #include "src/eden/random.h"
 #include "src/eden/slo.h"
@@ -78,12 +79,16 @@ ValueList RunFig2(int shards, TelemetrySampler* telemetry) {
 // flow events and a long saturated phase are guaranteed.
 ValueList RunOverload(int shards, TelemetrySampler* telemetry,
                       InvariantMonitor* monitor = nullptr,
-                      TraceRecorder* trace = nullptr) {
+                      TraceRecorder* trace = nullptr,
+                      MetricsRegistry* metrics = nullptr) {
   KernelOptions kernel_options;
   kernel_options.shards = shards;
   Kernel kernel(kernel_options);
   if (telemetry != nullptr) {
     kernel.set_telemetry(telemetry);
+  }
+  if (metrics != nullptr) {
+    kernel.set_metrics(metrics);
   }
   if (monitor != nullptr) {
     kernel.set_monitor(monitor);
@@ -424,6 +429,56 @@ TEST(TelemetryDeterminismTest, SamplingPreservesSimulationOutput) {
 }
 
 // ------------------------------------------------------------- the verdict
+
+// Queue depths and flow events reach metrics and telemetry through one
+// kernel feed, so the two must agree, and installing telemetry must not
+// change what metrics records. Metrics on with telemetry off is the case a
+// wrong feed gate would silently empty.
+TEST(TelemetryDeterminismTest, MetricsAndTelemetryAgreeOnQueueFacts) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MetricsRegistry metrics_only;
+    RunOverload(shards, nullptr, nullptr, nullptr, &metrics_only);
+    TelemetrySampler telemetry_only;
+    RunOverload(shards, &telemetry_only);
+    MetricsRegistry metrics_both;
+    TelemetrySampler telemetry_both;
+    RunOverload(shards, &telemetry_both, nullptr, nullptr, &metrics_both);
+
+    const Value alone = metrics_only.Snapshot();
+    const Value both = metrics_both.Snapshot();
+    const ValueMap* flow = alone.Field("flow").AsMap();
+    ASSERT_NE(flow, nullptr) << "metrics-only run counted no flow events";
+    EXPECT_EQ(ValueToJson(alone.Field("flow")), ValueToJson(both.Field("flow")));
+    const ValueMap* queues = alone.Field("queues").AsMap();
+    ASSERT_NE(queues, nullptr);
+    ASSERT_FALSE(queues->empty()) << "metrics-only run sampled no queue";
+    ASSERT_NE(both.Field("queues").AsMap(), nullptr);
+    EXPECT_EQ(queues->size(), both.Field("queues").AsMap()->size());
+    for (const auto& [queue, gauge] : *queues) {
+      EXPECT_EQ(gauge.Field("high_water").IntOr(-1),
+                both.Field("queues").Field(queue).Field("high_water").IntOr(-2))
+          << queue;
+    }
+
+    uint64_t hiwat = 0, putbacks = 0, overtakes = 0;
+    for (const auto& [queue, counters] : *flow) {
+      hiwat += static_cast<uint64_t>(counters.Field("hiwat_hits").IntOr(0));
+      putbacks += static_cast<uint64_t>(counters.Field("putbacks").IntOr(0));
+      overtakes +=
+          static_cast<uint64_t>(counters.Field("band_overtakes").IntOr(0));
+    }
+    EXPECT_GT(hiwat, 0u);
+    for (const TelemetrySampler* telemetry : {&telemetry_only, &telemetry_both}) {
+      std::vector<TelemetrySampler::CounterView> counters =
+          telemetry->CounterSeries();
+      EXPECT_EQ(counters[TelemetrySampler::kHiwat].total, hiwat);
+      EXPECT_EQ(counters[TelemetrySampler::kPutBack].total, putbacks);
+      EXPECT_EQ(counters[TelemetrySampler::kOvertake].total, overtakes);
+    }
+    EXPECT_EQ(telemetry_only.ToJson(), telemetry_both.ToJson());
+  }
+}
 
 TEST(DiagnoseTelemetryTest, FindsPeakWindowHotStageAndRamp) {
   TelemetrySampler telemetry;
