@@ -5,7 +5,9 @@
 namespace eden {
 
 Eject::Eject(Kernel& kernel, std::string type_name)
-    : kernel_(kernel), uid_(kernel.AllocateEjectUid()), type_name_(std::move(type_name)) {}
+    : kernel_(kernel), type_name_(std::move(type_name)) {
+  kernel.AllocateEjectSlot(*this);
+}
 
 Eject::~Eject() = default;
 
@@ -14,7 +16,7 @@ void Eject::Spawn(Task<void> task) {
     return;
   }
   std::coroutine_handle<> h = task.Detach(tasks_);
-  kernel_.ScheduleResume(uid_, kernel_.EpochOf(uid_), h);
+  kernel_.ScheduleResume(this, h);
 }
 
 void Eject::Dispatch(InvocationContext ctx) {

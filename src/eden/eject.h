@@ -57,8 +57,8 @@ class Eject {
                        Tick deadline = 0) {
     return kernel_.Invoke(*this, target, std::move(op), std::move(args), deadline);
   }
-  SleepAwaiter Sleep(Tick delay) { return SleepAwaiter(kernel_, uid_, delay); }
-  SleepAwaiter Yield() { return SleepAwaiter(kernel_, uid_, 0); }
+  SleepAwaiter Sleep(Tick delay) { return SleepAwaiter(kernel_, this, delay); }
+  SleepAwaiter Yield() { return SleepAwaiter(kernel_, this, 0); }
 
   // Kernel entry point: routes a delivered invocation to the registered
   // handler, or answers kNoSuchOperation.
@@ -88,8 +88,10 @@ class Eject {
  private:
   friend class Kernel;
 
+  // Set by Kernel::AllocateEjectSlot, in the constructor body.
   Uid uid_;
   NodeId node_ = 0;
+  uint32_t slot_ = 0;  // index into node_'s slot table
   std::string type_name_;
   std::map<std::string, Handler> ops_;
   TaskList tasks_;

@@ -89,6 +89,8 @@ thread_local NodeId tls_creation_node = kNoNode;
 
 thread_local Kernel::ExecContext Kernel::tls_ctx_{};
 
+Kernel::NodeBook::NodeBook(uint64_t uid_stream_seed) : uids(uid_stream_seed) {}
+
 // ---------------------------------------------------------------- ReplyHandle
 
 ReplyHandle& ReplyHandle::operator=(ReplyHandle&& other) noexcept {
@@ -132,20 +134,20 @@ void InvokeAwaiter::await_suspend(std::coroutine_handle<> h) {
   if (LockObserver* observer = kernel_.lock_observer()) {
     // The caller's process is now parked until a reply (or deadline): if it
     // holds a mutex, every peer needing that mutex is parked with it.
-    observer->OnBlocking(from_, "Invoke " + op_, kernel_.now());
+    observer->OnBlocking(from_.uid(), "Invoke " + op_, kernel_.now());
   }
   Kernel::WaitRecord wait;
-  wait.caller = from_;
-  wait.caller_epoch = kernel_.EpochOf(from_);
-  wait.caller_node = kernel_.NodeOf(from_);
+  wait.caller = from_.uid();
+  wait.caller_ref = Kernel::RefOf(from_);
+  wait.caller_epoch = kernel_.SlotAt(wait.caller_ref).epoch;
   wait.awaiter = this;
   wait.waiter = h;
-  kernel_.SendInvocation(from_, target_, std::move(op_), std::move(args_),
-                         std::move(wait), deadline_);
+  kernel_.SendInvocation(target_, std::move(op_), std::move(args_), std::move(wait),
+                         deadline_);
 }
 
 void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
-  kernel_.ScheduleResume(host_, kernel_.EpochOf(host_), h, delay_);
+  kernel_.ScheduleResume(host_, h, delay_);
 }
 
 // ---------------------------------------------------------------------- Kernel
@@ -168,10 +170,14 @@ Kernel::Kernel(KernelOptions options) : options_(options) {
 Kernel::~Kernel() {
   shutting_down_ = true;
   // Destroy Ejects (and their parked coroutines) before the bookkeeping they
-  // may reference. Reply handles fired from destructors are dropped by the
-  // shutting_down_ guard in SendReply.
-  for (auto& shard : shards_) {
-    shard->registry.clear();
+  // may reference, newest first: books from the last node back, slots from
+  // the last back — a function of the topology, not of the shard count.
+  // Reply handles fired from destructors are dropped by the shutting_down_
+  // guard in SendReply.
+  for (auto book = books_.rbegin(); book != books_.rend(); ++book) {
+    for (auto slot = book->slots.rbegin(); slot != book->slots.rend(); ++slot) {
+      slot->instance.reset();
+    }
   }
   for (auto& shard : shards_) {
     shard->waits.clear();
@@ -206,21 +212,14 @@ bool Kernel::set_shards(int shards) {
     shards_.back()->clock.AdvanceTo(global_now);
   }
   options_.shards = shards;
+  // Ejects stay in their nodes' books; only the in-flight invocation tables
+  // follow their nodes to the new shards.
   for (auto& shard : old) {
-    for (auto& [uid, entry] : shard->registry) {
-      NodeId node = entry.node;
-      shards_[ShardOf(node)]->registry[uid] = std::move(entry);
-    }
-    for (const auto& [uid, epoch] : shard->epochs) {
-      shards_[ShardOf(NodeOf(uid))]->epochs[uid] = epoch;
-    }
     for (auto& [id, wait] : shard->waits) {
-      NodeId node = wait.caller_node;
-      shards_[ShardOf(node)]->waits[id] = std::move(wait);
+      shards_[ShardOf(wait.caller_ref.node)]->waits[id] = std::move(wait);
     }
     for (auto& [id, route] : shard->open_replies) {
-      NodeId node = route.target_node;
-      shards_[ShardOf(node)]->open_replies[id] = std::move(route);
+      shards_[ShardOf(route.target_ref.node)]->open_replies[id] = std::move(route);
     }
   }
   return true;
@@ -235,46 +234,56 @@ std::vector<ShardCounters> Kernel::shard_counters() const {
   return out;
 }
 
-bool Kernel::IsActive(const Uid& uid) const {
-  return HomeShard(uid).registry.count(uid) > 0;
-}
+bool Kernel::IsActive(const Uid& uid) const { return InstanceAt(Lookup(uid)) != nullptr; }
 
-Eject* Kernel::Find(const Uid& uid) {
-  Shard& shard = HomeShard(uid);
-  auto it = shard.registry.find(uid);
-  return it == shard.registry.end() ? nullptr : it->second.instance.get();
-}
+Eject* Kernel::Find(const Uid& uid) { return InstanceAt(Lookup(uid)); }
 
-size_t Kernel::active_eject_count() const {
-  size_t count = 0;
-  for (const auto& shard : shards_) {
-    count += shard->registry.size();
-  }
-  return count;
-}
+size_t Kernel::active_eject_count() const { return ActiveUids().size(); }
 
 std::vector<Uid> Kernel::ActiveUids() const {
   std::vector<Uid> uids;
-  uids.reserve(active_eject_count());
-  for (const auto& shard : shards_) {
-    for (const auto& [uid, entry] : shard->registry) {
-      uids.push_back(uid);
+  for (const NodeBook& book : books_) {
+    for (const EjectSlot& slot : book.slots) {
+      if (slot.instance != nullptr) {
+        uids.push_back(slot.instance->uid());
+      }
     }
   }
   std::sort(uids.begin(), uids.end());
   return uids;
 }
 
-NodeId Kernel::NodeOf(const Uid& uid) const {
+Kernel::EjectRef Kernel::Lookup(const Uid& uid) const {
   if (uid.IsNil()) {
-    return kNoNode;
+    return EjectRef{};
   }
-  if (node_names_.size() == 1) {
-    return NodeId{0};  // single-node fast path: nothing lives elsewhere
+  auto it = directory_.find(uid);
+  if (it != directory_.end()) {
+    return it->second;
   }
-  std::shared_lock<std::shared_mutex> lock(homes_mu_);
-  auto it = home_nodes_.find(uid);
-  return it != home_nodes_.end() ? it->second : NodeId{0};
+  if (OnOwnContext() && tls_ctx_.parallel) {
+    const auto& fresh = tls_ctx_.shard->fresh;
+    auto mine = fresh.find(uid);
+    if (mine != fresh.end()) {
+      return mine->second;  // allocated by this shard earlier in the window
+    }
+  }
+  return EjectRef{NodeId{0}, kNoSlot};
+}
+
+Kernel::EjectRef Kernel::RefOf(const Eject& eject) {
+  return EjectRef{eject.node_, eject.slot_};
+}
+
+bool Kernel::Alive(EjectRef ref, uint64_t epoch) const {
+  if (shutting_down_) {
+    return false;
+  }
+  if (ref.node == kNoNode) {
+    return true;  // external driver: valid for the kernel's lifetime
+  }
+  return InstanceAt(ref) != nullptr &&
+         books_[BookIndex(ref.node)].slots[ref.slot].epoch == epoch;
 }
 
 NodeId Kernel::PushCreationNode(NodeId node) {
@@ -287,66 +296,35 @@ NodeId Kernel::CurrentNode() const {
   return OnOwnContext() ? tls_ctx_.node : kNoNode;
 }
 
-UidGenerator& Kernel::uids() {
-  NodeId node = CurrentNode();
-  return BookFor(node == kNoNode ? kNoNode : node).uids;
-}
+UidGenerator& Kernel::uids() { return BookFor(CurrentNode()).uids; }
 
-Uid Kernel::AllocateEjectUid() {
+void Kernel::AllocateEjectSlot(Eject& eject) {
   NodeId node = tls_creation_node;
   if (node == kNoNode) {
     NodeId current = CurrentNode();
     node = current == kNoNode ? NodeId{0} : current;
   }
-  Uid uid = BookFor(node).uids.Next();
-  shards_[ShardOf(node)]->epochs[uid] = 1;
-  {
-    std::unique_lock<std::shared_mutex> lock(homes_mu_);
-    home_nodes_[uid] = node;
-  }
-  return uid;
+  // Parallel workers may only create Ejects on nodes they own; creation on a
+  // foreign shard would race its book.
+  assert(!(OnOwnContext() && tls_ctx_.parallel) || ShardOf(node) == tls_ctx_.shard_index);
+  NodeBook& book = BookFor(node);
+  eject.uid_ = book.uids.Next();
+  eject.node_ = node;
+  eject.slot_ = static_cast<uint32_t>(book.slots.size());
+  book.slots.emplace_back();
+  auto& directory = OnOwnContext() && tls_ctx_.parallel ? tls_ctx_.shard->fresh : directory_;
+  directory.emplace(eject.uid_, RefOf(eject));
 }
 
 void Kernel::AdoptEject(std::unique_ptr<Eject> eject, NodeId node) {
   assert(node >= 0 && static_cast<size_t>(node) < node_names_.size());
-  // Parallel workers may only create Ejects on nodes they own; creation on a
-  // foreign shard would race its registry.
-  assert(!(OnOwnContext() && tls_ctx_.parallel) || ShardOf(node) == tls_ctx_.shard_index);
   Eject* raw = eject.get();
-  raw->node_ = node;
-  Uid uid = raw->uid();
-  EjectEntry entry;
-  entry.instance = std::move(eject);
-  entry.node = node;
-  shards_[ShardOf(node)]->registry[uid] = std::move(entry);
+  assert(raw->node_ == node);
+  SlotAt(RefOf(*raw)).instance = std::move(eject);
   stats_.ejects_created.fetch_add(1, std::memory_order_relaxed);
-  EDEN_LOG(*this, kDebug) << "create " << raw->type_name() << " " << uid.Short()
+  EDEN_LOG(*this, kDebug) << "create " << raw->type_name() << " " << raw->uid().Short()
                           << " on " << node_names_[node];
   raw->OnStart();
-}
-
-uint64_t Kernel::EpochOf(const Uid& uid) const {
-  if (uid.IsNil()) {
-    return 0;
-  }
-  const Shard& shard = HomeShard(uid);
-  auto it = shard.epochs.find(uid);
-  return it == shard.epochs.end() ? 0 : it->second;
-}
-
-bool Kernel::EpochValid(const Uid& uid, uint64_t epoch) const {
-  if (shutting_down_) {
-    return false;
-  }
-  if (uid.IsNil()) {
-    return true;  // external driver: valid for the kernel's lifetime
-  }
-  const Shard& shard = HomeShard(uid);
-  if (shard.registry.count(uid) == 0) {
-    return false;
-  }
-  auto it = shard.epochs.find(uid);
-  return it != shard.epochs.end() && it->second == epoch;
 }
 
 // ------------------------------------------------------------------ scheduling
@@ -391,11 +369,13 @@ void Kernel::ScheduleOn(NodeId exec, Tick at, EventQueue::Action action) {
   shards_[target]->queue.Schedule(key, exec, std::move(action));
 }
 
-void Kernel::ScheduleResume(const Uid& host, uint64_t epoch,
-                            std::coroutine_handle<> h, Tick delay) {
+void Kernel::ScheduleResume(const Eject* host, std::coroutine_handle<> h,
+                            Tick delay) {
+  EjectRef ref = host != nullptr ? RefOf(*host) : EjectRef{};
+  uint64_t epoch = host != nullptr ? SlotAt(ref).epoch : 0;
   Tick at = now() + delay + options_.costs.context_switch;
-  ScheduleOn(NodeOf(host), at, [this, host, epoch, h, span = current_span()] {
-    if (EpochValid(host, epoch)) {
+  ScheduleOn(ref.node, at, [this, ref, epoch, h, span = current_span()] {
+    if (Alive(ref, epoch)) {
       stats_.context_switches.fetch_add(1, std::memory_order_relaxed);
       // Resume inside the span that scheduled the wakeup: a CondVar notify
       // fired while serving invocation N wakes its waiter as part of N's
@@ -439,17 +419,14 @@ void ServiceProc::Schedule() {
 
 InvokeAwaiter Kernel::Invoke(const Eject& from, Uid target, std::string op,
                              Value args, Tick deadline) {
-  return InvokeAwaiter(*this, from.uid(), target, std::move(op), std::move(args),
-                       deadline);
+  return InvokeAwaiter(*this, from, target, std::move(op), std::move(args), deadline);
 }
 
 void Kernel::ExternalInvoke(Uid target, std::string op, Value args,
                             std::function<void(InvokeResult)> callback) {
-  WaitRecord wait;
-  wait.caller = Uid();  // nil: external
-  wait.caller_node = kNoNode;
+  WaitRecord wait;  // nil caller, driver ref: external
   wait.callback = std::move(callback);
-  SendInvocation(Uid(), target, std::move(op), std::move(args), std::move(wait),
+  SendInvocation(target, std::move(op), std::move(args), std::move(wait),
                  /*deadline=*/0);
 }
 
@@ -472,13 +449,15 @@ void Kernel::SpawnExternal(Task<void> task) {
     return;
   }
   std::coroutine_handle<> h = task.Detach(external_tasks_);
-  ScheduleResume(Uid(), 0, h);
+  ScheduleResume(nullptr, h);
 }
 
-void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
-                            WaitRecord wait, Tick deadline) {
-  NodeId caller_node = wait.caller_node;
-  NodeId target_node = NodeOf(target);
+void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord wait,
+                            Tick deadline) {
+  const Uid from = wait.caller;
+  NodeId caller_node = wait.caller_ref.node;
+  EjectRef target_ref = Lookup(target);  // the invocation's one directory lookup
+  NodeId target_node = target_ref.node;
   NodeBook& book = BookFor(caller_node);
   InvocationId id = MakeInvocationId(caller_node, ++book.invocation_seq);
   size_t bytes = kMessageHeaderBytes + op.size() + Codec::EncodedSize(args);
@@ -493,7 +472,7 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
   route.caller = wait.caller;
   route.caller_node = caller_node;
   route.target = target;
-  route.target_node = target_node;
+  route.target_ref = target_ref;
   route.parent = wait.parent;
   route.sent_at = now();
   if (metrics_ != nullptr) {
@@ -561,28 +540,26 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
 void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
                                Value args) {
   Uid target = route.target;
-  NodeId target_node = route.target_node;
-  Shard& shard = *shards_[ShardOf(target_node)];
-  if (route.caller_node == route.target_node &&
-      shard.waits.find(id) == shard.waits.end()) {
+  EjectRef ref = route.target_ref;
+  Shard& shard = *shards_[ShardOf(ref.node)];
+  if (route.caller_node == ref.node && shard.waits.find(id) == shard.waits.end()) {
     return;  // caller teardown/deadline raced the delivery; nobody cares
   }
   // From here the invocation is deliverable: the route parks on the target's
   // shard and is what a (possibly stashed) ReplyHandle answers through.
   shard.open_replies[id] = std::move(route);
-  auto it = shard.registry.find(target);
-  if (it != shard.registry.end()) {
-    DispatchTo(*it->second.instance, id, std::move(op), std::move(args));
+  if (Eject* eject = InstanceAt(ref)) {
+    DispatchTo(*eject, id, std::move(op), std::move(args));
     return;
   }
-  const PassiveRep* rep = store_.Get(target);
+  // Reactivation rebinds the UID's slot; a UID no Eject ever had has none.
+  const PassiveRep* rep = ref.slot == kNoSlot ? nullptr : store_.Get(target);
   if (rep != nullptr && types_.Contains(rep->type_name)) {
     // Activation: the kernel reconstructs the Eject from its passive
     // representation, then delivers (paper §1).
-    ScheduleOn(target_node, now() + options_.costs.activation,
-               [this, id, target, op = std::move(op), args = std::move(args)]() mutable {
-                 ActivateThenDispatch(id, ReplyRoute{}, std::move(op), std::move(args));
-                 (void)target;
+    ScheduleOn(ref.node, now() + options_.costs.activation,
+               [this, id, op = std::move(op), args = std::move(args)]() mutable {
+                 ActivateThenDispatch(id, std::move(op), std::move(args));
                });
     return;
   }
@@ -592,8 +569,7 @@ void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op
             Value());
 }
 
-void Kernel::ActivateThenDispatch(InvocationId id, ReplyRoute /*unused*/,
-                                  std::string op, Value args) {
+void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
   // Running on the target's shard; the parked route tells us whether anyone
   // still cares (a same-node deadline clears it along with the wait).
   Shard& shard = *tls_ctx_.shard;
@@ -602,19 +578,16 @@ void Kernel::ActivateThenDispatch(InvocationId id, ReplyRoute /*unused*/,
     return;
   }
   Uid target = route_it->second.target;
-  NodeId home = route_it->second.target_node;
-  Eject* eject = nullptr;
-  auto reg_it = shard.registry.find(target);
-  if (reg_it != shard.registry.end()) {
-    // Another invocation completed activation while this one waited.
-    eject = reg_it->second.instance.get();
-  } else {
+  EjectRef ref = route_it->second.target_ref;
+  // Non-null if another invocation completed activation while this one waited.
+  Eject* eject = SlotAt(ref).instance.get();
+  if (eject == nullptr) {
     const PassiveRep* rep = store_.Get(target);
     if (rep == nullptr) {
       SendReply(id, Status(StatusCode::kNoSuchEject, "passive rep vanished"), Value());
       return;
     }
-    NodeId prev = PushCreationNode(home);
+    NodeId prev = PushCreationNode(ref.node);
     std::unique_ptr<Eject> fresh = types_.Make(rep->type_name, *this);
     PopCreationNode(prev);
     if (fresh == nullptr) {
@@ -622,19 +595,13 @@ void Kernel::ActivateThenDispatch(InvocationId id, ReplyRoute /*unused*/,
       return;
     }
     // Re-bind the stored identity: the reactivated instance *is* the old
-    // Eject, so it keeps the old UID (a fresh one was allocated by the base
-    // constructor; release it).
-    shard.epochs.erase(fresh->uid_);
+    // Eject, so it keeps the old UID, slot and epoch. The UID and slot the
+    // base constructor drew stay unused; anything the constructor scheduled
+    // under them is dropped.
     fresh->uid_ = target;
-    fresh->node_ = rep->home_node;
-    if (shard.epochs.find(target) == shard.epochs.end()) {
-      shard.epochs[target] = 1;
-    }
+    fresh->slot_ = ref.slot;
     Eject* raw = fresh.get();
-    EjectEntry entry;
-    entry.instance = std::move(fresh);
-    entry.node = rep->home_node;
-    shard.registry[target] = std::move(entry);
+    SlotAt(ref).instance = std::move(fresh);
     stats_.activations.fetch_add(1, std::memory_order_relaxed);
     std::optional<Value> state = Codec::Decode(rep->state);
     raw->RestoreState(state.has_value() ? *state : Value());
@@ -662,7 +629,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
   // so the parallel path looks only there. The sequential path searches all
   // shards, preserving the classic anything-goes semantics for drivers.
   Shard* shard = nullptr;
-  std::map<InvocationId, ReplyRoute>::iterator it;
+  std::unordered_map<InvocationId, ReplyRoute>::iterator it;
   if (OnOwnContext() && tls_ctx_.parallel) {
     shard = tls_ctx_.shard;
     it = shard->open_replies.find(id);
@@ -729,11 +696,12 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     event.ok = status.ok_or_end();
     Observe(event);
   }
-  Tick cost = options_.costs.MessageCost(bytes, route.target_node, route.caller_node);
+  NodeId target_node = route.target_ref.node;
+  Tick cost = options_.costs.MessageCost(bytes, target_node, route.caller_node);
   if (fault_ != nullptr && !route.caller.IsNil()) {
     cost += fault_->NextJitter();
   }
-  if (route.caller_node == route.target_node) {
+  if (route.caller_node == target_node) {
     // Same node (same shard): the wait record is consumed when the reply is
     // *sent* — the classic semantics, under which a deadline firing after
     // this instant is moot.
@@ -756,7 +724,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
   // virtual-time arrival order — identical at every shard count.
   ScheduleOn(route.caller_node, now() + cost,
              [this, id, status = std::move(status), result = std::move(result)]() mutable {
-               DeliverRemoteReply(id, std::move(status), std::move(result), 0);
+               DeliverRemoteReply(id, std::move(status), std::move(result));
              });
 }
 
@@ -769,7 +737,7 @@ void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
     tls_ctx_.span = prev;
     return;
   }
-  if (!EpochValid(wait.caller, wait.caller_epoch)) {
+  if (!Alive(wait.caller_ref, wait.caller_epoch)) {
     tls_ctx_.span = prev;
     return;  // caller crashed while the reply was in flight
   }
@@ -779,8 +747,7 @@ void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
   tls_ctx_.span = prev;
 }
 
-void Kernel::DeliverRemoteReply(InvocationId id, Status status, Value result,
-                                InvocationId /*unused*/) {
+void Kernel::DeliverRemoteReply(InvocationId id, Status status, Value result) {
   // Running on the caller's shard.
   Shard& shard = *tls_ctx_.shard;
   auto it = shard.waits.find(id);
@@ -801,7 +768,7 @@ void Kernel::FireDeadline(InvocationId id) {
   }
   WaitRecord wait = std::move(it->second);
   shard.waits.erase(it);
-  if (wait.caller_node == wait.target_node) {
+  if (wait.caller_ref.node == wait.target_node) {
     // Same shard: also retract the target side, so an undelivered invocation
     // is skipped and a late reply finds nothing — the classic semantics.
     shard.open_replies.erase(id);
@@ -838,11 +805,12 @@ void Kernel::Crash(const Uid& uid) { TearDown(uid, /*is_crash=*/true); }
 
 void Kernel::CrashNode(NodeId node) {
   std::vector<Uid> victims;
-  for (const auto& [uid, entry] : shards_[ShardOf(node)]->registry) {
-    if (entry.node == node) {
-      victims.push_back(uid);
+  for (const EjectSlot& slot : BookFor(node).slots) {
+    if (slot.instance != nullptr) {
+      victims.push_back(slot.instance->uid());
     }
   }
+  std::sort(victims.begin(), victims.end());  // teardown order is observable
   for (const Uid& uid : victims) {
     TearDown(uid, /*is_crash=*/true);
   }
@@ -855,11 +823,11 @@ void Kernel::RequestDeactivate(const Uid& uid) {
 }
 
 void Kernel::TearDown(const Uid& uid, bool is_crash) {
-  Shard& shard = HomeShard(uid);
-  auto it = shard.registry.find(uid);
-  if (it == shard.registry.end()) {
+  EjectRef ref = Lookup(uid);
+  if (InstanceAt(ref) == nullptr) {
     return;
   }
+  EjectSlot& slot = SlotAt(ref);
   if (is_crash) {
     stats_.crashes.fetch_add(1, std::memory_order_relaxed);
     if (observing()) {
@@ -868,7 +836,7 @@ void Kernel::TearDown(const Uid& uid, bool is_crash) {
       event.at = now();
       event.from = uid;
       event.to = uid;
-      event.op = it->second.instance->type_name();
+      event.op = slot.instance->type_name();
       event.parent = current_span();
       event.ok = false;
       Observe(event);
@@ -876,12 +844,11 @@ void Kernel::TearDown(const Uid& uid, bool is_crash) {
   } else {
     stats_.passivations.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.epochs[uid]++;  // invalidates every scheduled resumption for this Eject
+  slot.epoch++;  // invalidates every scheduled resumption for this Eject
   // Fail invocations that were delivered but not yet answered: their reply
   // handles are about to be destroyed with the instance.
-  FailDeliveredPendingFor(shard, uid);
-  std::unique_ptr<Eject> dying = std::move(it->second.instance);
-  shard.registry.erase(it);
+  FailDeliveredPendingFor(*shards_[ShardOf(ref.node)], uid);
+  std::unique_ptr<Eject> dying = std::move(slot.instance);
   EDEN_LOG(*this, kInfo) << (is_crash ? "crash " : "deactivate ") << uid.Short();
   dying.reset();  // destroys parked coroutines and reply handles
 }
@@ -893,6 +860,7 @@ void Kernel::FailDeliveredPendingFor(Shard& shard, const Uid& target) {
       doomed.push_back(id);
     }
   }
+  std::sort(doomed.begin(), doomed.end());  // reply order is observable
   for (InvocationId id : doomed) {
     SendReply(id, Status(StatusCode::kUnavailable, "target deactivated"), Value());
   }
@@ -1087,6 +1055,10 @@ bool Kernel::RunSharded(const std::function<bool()>& done, uint64_t max_events) 
   // Runs in exactly one thread per window, with every worker parked at the
   // barrier: the only place where cross-shard state is touched together.
   auto completion = [&] {
+    for (auto& shard : shards_) {
+      directory_.insert(shard->fresh.begin(), shard->fresh.end());
+      shard->fresh.clear();
+    }
     FlushObservations();
     uint64_t batch = 0;
     Tick t_min = kTickMax;

@@ -35,10 +35,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -141,8 +139,8 @@ class InvocationContext {
 // reply is dropped by the pending-invocation machinery.
 class [[nodiscard]] InvokeAwaiter {
  public:
-  InvokeAwaiter(Kernel& kernel, Uid from, Uid target, std::string op, Value args,
-                Tick deadline = 0)
+  InvokeAwaiter(Kernel& kernel, const Eject& from, Uid target, std::string op,
+                Value args, Tick deadline = 0)
       : kernel_(kernel),
         from_(from),
         target_(target),
@@ -157,7 +155,7 @@ class [[nodiscard]] InvokeAwaiter {
  private:
   friend class Kernel;
   Kernel& kernel_;
-  Uid from_;
+  const Eject& from_;
   Uid target_;
   std::string op_;
   Value args_;
@@ -165,10 +163,10 @@ class [[nodiscard]] InvokeAwaiter {
   InvokeResult result_;
 };
 
-// co_await-able virtual-time sleep, bound to a host Eject (nil = external).
+// co_await-able virtual-time sleep, bound to a host Eject (null = external).
 class [[nodiscard]] SleepAwaiter {
  public:
-  SleepAwaiter(Kernel& kernel, Uid host, Tick delay)
+  SleepAwaiter(Kernel& kernel, const Eject* host, Tick delay)
       : kernel_(kernel), host_(host), delay_(delay) {}
 
   bool await_ready() const noexcept { return false; }
@@ -177,7 +175,7 @@ class [[nodiscard]] SleepAwaiter {
 
  private:
   Kernel& kernel_;
-  Uid host_;
+  const Eject* host_;
   Tick delay_;
 };
 
@@ -261,7 +259,6 @@ class Kernel {
 
   bool IsActive(const Uid& uid) const;
   Eject* Find(const Uid& uid);
-  NodeId NodeOf(const Uid& uid) const;
   size_t active_eject_count() const;
   // All live Eject UIDs, ascending (deterministic; used by inspect.h).
   std::vector<Uid> ActiveUids() const;
@@ -424,13 +421,13 @@ class Kernel {
   UidGenerator& uids();
 
   // ---- Internals used by awaitables and sync primitives.
-  // Allocates a UID and its epoch; called by the Eject base constructor.
-  Uid AllocateEjectUid();
-  uint64_t EpochOf(const Uid& uid) const;
-  bool EpochValid(const Uid& uid, uint64_t epoch) const;
+  // Gives a new Eject its UID and its slot on the creation node; called by
+  // the Eject base constructor.
+  void AllocateEjectSlot(Eject& eject);
   // Schedules `h.resume()` at now + delay + context-switch cost, dropped if
-  // the host Eject has been torn down in the meantime.
-  void ScheduleResume(const Uid& host, uint64_t epoch, std::coroutine_handle<> h,
+  // the host Eject (null = the external driver) has been torn down or
+  // reactivated in the meantime.
+  void ScheduleResume(const Eject* host, std::coroutine_handle<> h,
                       Tick delay = 0);
   void ScheduleAction(Tick delay, std::function<void()> action);
   void CountLocalStep() {
@@ -443,9 +440,19 @@ class Kernel {
  private:
   friend class InvokeAwaiter;
 
-  struct EjectEntry {
-    std::unique_ptr<Eject> instance;
-    NodeId node = 0;
+  // The kernel's internal name for an Eject: its home node and its slot in
+  // that node's book. UIDs stay the only names outside the kernel; the
+  // directory maps them to refs once, at the boundary.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  struct EjectRef {
+    NodeId node = kNoNode;  // kNoNode: the external driver (or a nil UID)
+    uint32_t slot = kNoSlot;
+  };
+  // Slots are never reused, so a slot's epoch is its UID's epoch: teardown
+  // bumps it (invalidating every scheduled resumption), reactivation keeps it.
+  struct EjectSlot {
+    std::unique_ptr<Eject> instance;  // null while passive
+    uint64_t epoch = 1;
   };
 
   // Caller-side record of an in-flight invocation, owned by the caller's
@@ -455,8 +462,8 @@ class Kernel {
   // rule both the 1-shard and N-shard executions apply identically.
   struct WaitRecord {
     Uid caller;  // nil for external invocations
+    EjectRef caller_ref;
     uint64_t caller_epoch = 0;
-    NodeId caller_node = kNoNode;
     Uid target;
     NodeId target_node = 0;
     Tick deadline = 0;        // 0 = no deadline
@@ -473,7 +480,7 @@ class Kernel {
     Uid caller;
     NodeId caller_node = kNoNode;
     Uid target;
-    NodeId target_node = 0;
+    EjectRef target_ref;  // slot kNoSlot: no Eject ever had this UID
     InvocationId parent = 0;
     Tick sent_at = 0;
     std::string op;  // filled only when metrics are installed
@@ -501,22 +508,26 @@ class Kernel {
     uint64_t value = 0;
   };
 
-  // Per-node deterministic sequence state. Only the owning node's shard
-  // touches a book during a run; alignment keeps neighbours off one line.
+  // Per-node deterministic sequence state and Eject slots. Only the owning
+  // node's shard touches a book during a run; alignment keeps neighbours off
+  // one line.
   struct alignas(64) NodeBook {
-    explicit NodeBook(uint64_t uid_stream_seed) : uids(uid_stream_seed) {}
+    explicit NodeBook(uint64_t uid_stream_seed);  // out of line: Eject is incomplete
     uint64_t event_seq = 0;       // EventKey sequence for this origin
     uint64_t invocation_seq = 0;  // InvocationId low bits
     UidGenerator uids;            // this node's UID stream
+    std::vector<EjectSlot> slots;  // every Eject ever homed here
   };
 
   struct alignas(64) Shard {
     EventQueue queue;
     VirtualClock clock;
-    std::map<Uid, EjectEntry> registry;  // ordered: determinism
-    std::unordered_map<Uid, uint64_t, Uid::Hash> epochs;
-    std::map<InvocationId, WaitRecord> waits;
-    std::map<InvocationId, ReplyRoute> open_replies;
+    std::unordered_map<InvocationId, WaitRecord> waits;
+    std::unordered_map<InvocationId, ReplyRoute> open_replies;
+    // UIDs allocated here during the current parallel window, merged into
+    // the directory at the barrier. No other shard can hold one before then:
+    // a UID travels only in a message, and mailboxes drain a window later.
+    std::unordered_map<Uid, EjectRef, Uid::Hash> fresh;
     // Cross-shard inbox; drained into the queue at every window top.
     std::mutex mailbox_mu;
     std::vector<MailItem> mailbox;
@@ -547,10 +558,19 @@ class Kernel {
 
   size_t BookIndex(NodeId node) const { return static_cast<size_t>(node + 1); }
   NodeBook& BookFor(NodeId node) { return books_[BookIndex(node)]; }
-  Shard& HomeShard(const Uid& uid) { return *shards_[ShardOf(NodeOf(uid))]; }
-  const Shard& HomeShard(const Uid& uid) const {
-    return *shards_[ShardOf(NodeOf(uid))];
+  EjectSlot& SlotAt(EjectRef ref) { return BookFor(ref.node).slots[ref.slot]; }
+  // The live instance behind `ref`; null while passive or without a slot.
+  Eject* InstanceAt(EjectRef ref) const {
+    return ref.slot == kNoSlot
+               ? nullptr
+               : books_[BookIndex(ref.node)].slots[ref.slot].instance.get();
   }
+  // The UID boundary: nil maps to the driver, an unknown UID to node 0 with
+  // no slot (its invocations answer kNoSuchEject there).
+  EjectRef Lookup(const Uid& uid) const;
+  static EjectRef RefOf(const Eject& eject);
+  // Whether a resumption or reply bound to (ref, epoch) may still run.
+  bool Alive(EjectRef ref, uint64_t epoch) const;
 
   NodeId PushCreationNode(NodeId node);
   void PopCreationNode(NodeId prev);
@@ -561,16 +581,14 @@ class Kernel {
   // and routes to `exec`'s shard — directly, or via the outbox when called
   // from a parallel worker targeting another shard.
   void ScheduleOn(NodeId exec, Tick at, EventQueue::Action action);
-  void SendInvocation(Uid from, Uid target, std::string op, Value args,
-                      WaitRecord wait, Tick deadline);
+  void SendInvocation(Uid target, std::string op, Value args, WaitRecord wait,
+                      Tick deadline);
   void DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
                          Value args);
   void DispatchTo(Eject& eject, InvocationId id, std::string op, Value args);
-  void ActivateThenDispatch(InvocationId id, ReplyRoute route, std::string op,
-                            Value args);
+  void ActivateThenDispatch(InvocationId id, std::string op, Value args);
   void DeliverReplyToWait(WaitRecord wait, Status status, Value result);
-  void DeliverRemoteReply(InvocationId id, Status status, Value result,
-                          InvocationId parent);
+  void DeliverRemoteReply(InvocationId id, Status status, Value result);
   void FireDeadline(InvocationId id);
   void TearDown(const Uid& uid, bool is_crash);
   void FailDeliveredPendingFor(Shard& shard, const Uid& target);
@@ -619,8 +637,9 @@ class Kernel {
   KernelOptions options_;
   std::deque<NodeBook> books_;  // index BookIndex(node); [0] = the driver
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::shared_mutex homes_mu_;
-  std::unordered_map<Uid, NodeId, Uid::Hash> home_nodes_;
+  // UID -> ref for every Eject ever allocated. Written only while no worker
+  // runs (sequential code, the window barrier), so workers read it unlocked.
+  std::unordered_map<Uid, EjectRef, Uid::Hash> directory_;
   AtomicStats stats_;
   StableStore store_;
   TypeRegistry types_;

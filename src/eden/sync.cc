@@ -11,18 +11,15 @@ void CondVar::Notify() {
   }
   std::coroutine_handle<> h = waiters_.front();
   waiters_.pop_front();
-  Uid host = host_uid();
-  kernel_.ScheduleResume(host, kernel_.EpochOf(host), h);
+  kernel_.ScheduleResume(owner_, h);
 }
 
 void CondVar::NotifyAll() {
   kernel_.CountLocalStep();
-  Uid host = host_uid();
-  uint64_t epoch = kernel_.EpochOf(host);
   while (!waiters_.empty()) {
     std::coroutine_handle<> h = waiters_.front();
     waiters_.pop_front();
-    kernel_.ScheduleResume(host, epoch, h);
+    kernel_.ScheduleResume(owner_, h);
   }
 }
 

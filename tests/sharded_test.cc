@@ -14,12 +14,16 @@
 #include <vector>
 
 #include "src/core/pipeline.h"
+#include "src/core/stream.h"
+#include "src/core/stream_server.h"
 #include "src/devices/devices.h"
 #include "src/eden/analysis.h"
 #include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 #include "src/eden/random.h"
+#include "src/eden/sync.h"
 #include "src/eden/trace.h"
+#include "src/eden/verify/shard_audit.h"
 #include "src/filters/transforms.h"
 
 namespace eden {
@@ -324,6 +328,388 @@ TEST(ShardedStress, DeepDistinctNodePipelineMatchesSequential) {
   EXPECT_EQ(actual, expected);
   EXPECT_TRUE(sharded.quiescent());
   EXPECT_EQ(sequential.now(), sharded.now());
+}
+
+// ---- Dense Eject handles under sharding. The kernel names Ejects internally
+// by (home node, slot); a UID reaches another shard's directory only at a
+// window barrier. These runs pin that boundary.
+
+// Invokes from the driver, then runs to quiescence. Every shard's clock then
+// rests on its own last event, so the driver's now() (and thus the next
+// external send) is the same at any shard count.
+InvokeResult InvokeQuiescent(Kernel& kernel, Uid target, std::string op,
+                             Value args = Value()) {
+  InvokeResult result;
+  kernel.ExternalInvoke(target, std::move(op), std::move(args),
+                        [&result](InvokeResult r) { result = std::move(r); });
+  EXPECT_TRUE(kernel.Run());
+  return result;
+}
+
+std::string Describe(const InvokeResult& r) {
+  return r.status.ToString() + " " + r.value.ToString();
+}
+
+// Answers "Tag" with tag * 10 + the number of Tag calls so far.
+class Tagged : public Eject {
+ public:
+  Tagged(Kernel& kernel, int64_t tag) : Eject(kernel, "Tagged"), tag_(tag) {
+    Register("Tag", [this](InvocationContext ctx) {
+      ctx.Reply(Value(tag_ * 10 + ++calls_));
+    });
+  }
+
+ private:
+  int64_t tag_;
+  int64_t calls_ = 0;
+};
+
+// "Use" invokes the Eject whose UID it was handed.
+class Borrower : public Eject {
+ public:
+  explicit Borrower(Kernel& kernel) : Eject(kernel, "Borrower") {
+    RegisterTask("Use", [this](InvocationContext ctx) { return Use(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Use(InvocationContext ctx) {
+    InvokeResult r = co_await Invoke(ctx.Arg("child").UidOr(Uid()), "Tag");
+    ctx.ReplyStatus(r.status, std::move(r.value));
+  }
+};
+
+// "Make" creates a Tagged Eject on its own node mid-run, invokes it in the
+// same event (the UID is still only on this shard's fresh list), then hands
+// it to the Borrower, whose shard can resolve it a window later at best.
+class Maker : public Eject {
+ public:
+  Maker(Kernel& kernel, Uid borrower) : Eject(kernel, "Maker"), borrower_(borrower) {
+    RegisterTask("Make", [this](InvocationContext ctx) { return Make(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Make(InvocationContext ctx) {
+    Uid child = kernel_.Create<Tagged>(node(), ctx.Arg("tag").IntOr(0)).uid();
+    InvokeResult own = co_await Invoke(child, "Tag");
+    InvokeResult lent =
+        co_await Invoke(borrower_, "Use", Value().Set("child", Value(child)));
+    ValueList both = {own.value, lent.value};
+    ctx.ReplyStatus(lent.status, Value(std::move(both)));
+  }
+
+  Uid borrower_;
+};
+
+struct CreationRun {
+  ValueList replies;
+  std::string trace;
+  std::string certificate;
+  std::string stats;
+  size_t active = 0;
+  uint64_t cross_shard_sends = 0;
+  uint64_t windows = 0;
+};
+
+CreationRun RunCreationInWindow(int shards) {
+  KernelOptions kernel_options;
+  kernel_options.shards = shards;
+  Kernel kernel(kernel_options);
+  TraceRecorder trace;
+  verify::ShardRaceAnalyzer auditor;
+  kernel.set_tracer(trace.Hook());
+  kernel.set_auditor(&auditor);
+  NodeId maker_node = kernel.AddNode("maker");
+  NodeId borrower_node = kernel.AddNode("borrower");
+  Borrower& borrower = kernel.Create<Borrower>(borrower_node);
+  Maker& maker = kernel.Create<Maker>(maker_node, borrower.uid());
+
+  CreationRun run;
+  constexpr int kChildren = 12;
+  for (int64_t tag = 1; tag <= kChildren; ++tag) {
+    kernel.ExternalInvoke(maker.uid(), "Make", Value().Set("tag", Value(tag)),
+                          [&run](InvokeResult r) {
+                            EXPECT_TRUE(r.ok()) << r.status;
+                            run.replies.push_back(std::move(r.value));
+                          });
+  }
+  EXPECT_TRUE(kernel.Run());
+  EXPECT_TRUE(auditor.ok()) << auditor.ToString();
+  run.trace = SerializeTrace(trace);
+  run.certificate = auditor.ToJson();
+  run.stats = kernel.stats().ToValue().ToString();
+  run.active = kernel.active_eject_count();
+  for (const ShardCounters& c : kernel.shard_counters()) {
+    run.cross_shard_sends += c.cross_shard_sends;
+    run.windows += c.windows;
+  }
+  return run;
+}
+
+TEST(ShardedHandles, EjectsCreatedInsideAWindowResolveOnOtherShards) {
+  CreationRun base = RunCreationInWindow(1);
+  ASSERT_EQ(base.replies.size(), 12u);
+  for (int64_t tag = 1; tag <= 12; ++tag) {
+    // The maker's own call is the child's first, the borrower's its second.
+    EXPECT_EQ(base.replies[static_cast<size_t>(tag - 1)],
+              Value(ValueList{Value(tag * 10 + 1), Value(tag * 10 + 2)}));
+  }
+  EXPECT_EQ(base.active, 2u + 12u);
+  for (int shards : {2, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CreationRun run = RunCreationInWindow(shards);
+    EXPECT_GT(run.windows, 0u);            // the run really went parallel...
+    EXPECT_GT(run.cross_shard_sends, 0u);  // ...and the UIDs crossed shards
+    EXPECT_EQ(run.replies, base.replies);
+    EXPECT_EQ(run.trace, base.trace);
+    EXPECT_EQ(run.certificate, base.certificate);
+    EXPECT_EQ(run.stats, base.stats);
+    EXPECT_EQ(run.active, base.active);
+  }
+}
+
+// Checkpoints, then parks one process on a CondVar and one in Sleep. With
+// "crash" set it notifies the CondVar and schedules its own crash ahead of
+// both wakeups, which must then be dropped, even the one that comes due
+// after a reactivation: a wakeup that ran would report to the witness (and
+// resume a destroyed frame).
+class Fragile : public Eject {
+ public:
+  static constexpr const char* kType = "Fragile";
+
+  explicit Fragile(Kernel& kernel) : Eject(kernel, kType), poked_(*this) {
+    Register("Arm", [this](InvocationContext ctx) {
+      witness_ = ctx.Arg("witness").UidOr(witness_);
+      ++arms_;
+      Checkpoint();
+      Spawn(AwaitPoke());
+      Spawn(Doze());
+      Spawn(Poke(ctx.Arg("crash").BoolOr(false)));
+      ctx.Reply(Value(arms_));
+    });
+    Register("Get", [this](InvocationContext ctx) { ctx.Reply(Value(arms_)); });
+  }
+
+  Value SaveState() override {
+    return Value().Set("arms", Value(arms_)).Set("witness", Value(witness_));
+  }
+  void RestoreState(const Value& state) override {
+    arms_ = state.Field("arms").IntOr(0);
+    witness_ = state.Field("witness").UidOr(Uid());
+  }
+
+ private:
+  Task<void> AwaitPoke() {
+    co_await poked_.Wait();
+    (void)co_await Invoke(witness_, "Woke", Value(std::string("condvar")));
+  }
+  Task<void> Doze() {
+    co_await Sleep(10'000);  // due well after the reactivation below
+    (void)co_await Invoke(witness_, "Woke", Value(std::string("sleep")));
+  }
+  Task<void> Poke(bool crash) {
+    poked_.Notify();  // the waiter's resumption is now queued
+    if (crash) {
+      Kernel* kernel = &kernel_;
+      kernel_.ScheduleAction(0, [kernel, self = uid()] { kernel->Crash(self); });
+    }
+    co_return;
+  }
+
+  CondVar poked_;
+  Uid witness_;
+  int64_t arms_ = 0;
+};
+
+// Records wakeups; "Revive" invokes its target a little later, after the
+// target's crash, which reactivates it.
+class Witness : public Eject {
+ public:
+  explicit Witness(Kernel& kernel) : Eject(kernel, "Witness") {
+    Register("Woke", [this](InvocationContext ctx) {
+      woken_.push_back(ctx.args());
+      ctx.Reply();
+    });
+    Register("Get", [this](InvocationContext ctx) { ctx.Reply(Value(woken_)); });
+    RegisterTask("Revive", [this](InvocationContext ctx) { return Revive(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Revive(InvocationContext ctx) {
+    co_await Sleep(100);
+    InvokeResult r = co_await Invoke(ctx.Arg("target").UidOr(Uid()), "Get");
+    ctx.ReplyStatus(r.status, std::move(r.value));
+  }
+
+  ValueList woken_;
+};
+
+// "Probe" invokes a UID no Eject ever had.
+class Prober : public Eject {
+ public:
+  explicit Prober(Kernel& kernel) : Eject(kernel, "Prober") {
+    RegisterTask("Probe", [this](InvocationContext ctx) { return Probe(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Probe(InvocationContext ctx) {
+    InvokeResult r = co_await Invoke(Uid(0xF0F0F0F0ULL, 0x0BADC0DEULL), "Get");
+    ctx.Reply(Value(static_cast<int64_t>(r.status.code())));
+  }
+};
+
+struct CrashRun {
+  std::vector<std::string> steps;
+  std::string trace;
+  std::string stats;
+};
+
+CrashRun RunCrashAndReactivate(int shards) {
+  KernelOptions kernel_options;
+  kernel_options.shards = shards;
+  Kernel kernel(kernel_options);
+  kernel.types().Register(Fragile::kType,
+                          [](Kernel& k) { return std::make_unique<Fragile>(k); });
+  TraceRecorder trace;
+  kernel.set_tracer(trace.Hook());
+  NodeId fragile_node = kernel.AddNode("fragile");  // shard 1 of 4
+  NodeId witness_node = kernel.AddNode("witness");  // shard 2 of 4
+  NodeId prober_node = kernel.AddNode("prober");    // shard 3 of 4
+  EXPECT_EQ(kernel.ShardOf(prober_node), shards == 4 ? 3 : 0);
+  Uid fragile = kernel.Create<Fragile>(fragile_node).uid();
+  Uid witness = kernel.Create<Witness>(witness_node).uid();
+  Uid prober = kernel.Create<Prober>(prober_node).uid();
+
+  CrashRun run;
+  auto step = [&run](const std::string& what, const InvokeResult& r) {
+    run.steps.push_back(what + ": " + Describe(r));
+  };
+  // Arm and crash mid-run; the witness's next invocation reactivates the
+  // same UID from its checkpoint while the Sleep wakeup is still queued.
+  InvokeResult armed;
+  kernel.ExternalInvoke(fragile, "Arm",
+                        Value().Set("witness", Value(witness)).Set("crash", Value(true)),
+                        [&armed](InvokeResult r) { armed = std::move(r); });
+  step("revive", InvokeQuiescent(kernel, witness, "Revive",
+                                 Value().Set("target", Value(fragile))));
+  step("arm+crash", armed);
+  EXPECT_EQ(kernel.stats().crashes, 1u);
+  EXPECT_EQ(kernel.stats().activations, 1u);
+  EXPECT_TRUE(kernel.IsActive(fragile));
+  EXPECT_EQ(kernel.Find(fragile)->uid(), fragile);
+  step("woken after crash", InvokeQuiescent(kernel, witness, "Get"));
+  // The reactivated instance's own processes do run.
+  step("rearm", InvokeQuiescent(kernel, fragile, "Arm"));
+  step("woken after rearm", InvokeQuiescent(kernel, witness, "Get"));
+  step("forged", InvokeQuiescent(kernel, prober, "Probe"));
+  run.trace = SerializeTrace(trace);
+  run.stats = kernel.stats().ToValue().ToString();
+  return run;
+}
+
+TEST(ShardedHandles, CrashReactivationAndForgedUidsAreShardCountInvariant) {
+  CrashRun base = RunCrashAndReactivate(1);
+  ASSERT_EQ(base.steps.size(), 6u);
+  // Restored from the checkpoint taken by the first Arm.
+  EXPECT_EQ(base.steps[0], "revive: " + Describe(InvokeResult{Status::Ok(), Value(1)}));
+  EXPECT_EQ(base.steps[1], "arm+crash: " + Describe(InvokeResult{Status::Ok(), Value(1)}));
+  // No wakeup scheduled before the crash ran.
+  EXPECT_EQ(base.steps[2],
+            "woken after crash: " + Describe(InvokeResult{Status::Ok(), Value(ValueList{})}));
+  EXPECT_EQ(base.steps[3], "rearm: " + Describe(InvokeResult{Status::Ok(), Value(2)}));
+  EXPECT_EQ(base.steps[4],
+            "woken after rearm: " +
+                Describe(InvokeResult{
+                    Status::Ok(), Value(ValueList{Value(std::string("condvar")),
+                                                  Value(std::string("sleep"))})}));
+  EXPECT_EQ(base.steps[5],
+            "forged: " +
+                Describe(InvokeResult{
+                    Status::Ok(),
+                    Value(static_cast<int64_t>(StatusCode::kNoSuchEject))}));
+  CrashRun sharded = RunCrashAndReactivate(4);
+  EXPECT_EQ(sharded.steps, base.steps);
+  EXPECT_EQ(sharded.trace, base.trace);
+  EXPECT_EQ(sharded.stats, base.stats);
+}
+
+// A StreamServer whose production the driver controls.
+class HandFedSource : public Eject {
+ public:
+  explicit HandFedSource(Kernel& kernel) : Eject(kernel, "HandFedSource"), server(*this) {
+    server.DeclareChannel(std::string(kChanOut));
+    server.InstallOps();
+  }
+
+  void Produce(Value item) { Spawn(WriteOne(std::move(item))); }
+
+  StreamServer server;
+
+ private:
+  Task<void> WriteOne(Value item) { co_await server.Write(kChanOut, std::move(item)); }
+};
+
+// "Read" issues one Transfer against `source` from its own node.
+class OneShotReader : public Eject {
+ public:
+  OneShotReader(Kernel& kernel, Uid source) : Eject(kernel, "OneShotReader"), source_(source) {
+    RegisterTask("Read", [this](InvocationContext ctx) { return Read(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Read(InvocationContext ctx) {
+    InvokeResult r = co_await Invoke(
+        source_, "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
+    ctx.ReplyStatus(r.status, std::move(r.value));
+  }
+
+  Uid source_;
+};
+
+TEST(ShardedHandles, SetShardsKeepsEjectsAndParkedReads) {
+  Kernel kernel;
+  NodeId reader_node = kernel.AddNode("reader");
+  NodeId source_node = kernel.AddNode("source");
+  HandFedSource& source = kernel.Create<HandFedSource>(source_node);
+  Uid reader = kernel.Create<OneShotReader>(reader_node, source.uid()).uid();
+  std::vector<Uid> before = kernel.ActiveUids();
+  ASSERT_EQ(before.size(), 2u);
+
+  auto park = [&](std::vector<InvokeResult>& got) {
+    kernel.ExternalInvoke(reader, "Read", Value(),
+                          [&got](InvokeResult r) { got.push_back(std::move(r)); });
+    EXPECT_TRUE(kernel.Run());
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(source.server.parked_requests(kChanOut), 1u);
+  };
+  auto all_findable = [&] {
+    for (const Uid& uid : before) {
+      EXPECT_NE(kernel.Find(uid), nullptr) << uid.ToString();
+    }
+    EXPECT_EQ(kernel.ActiveUids(), before);
+  };
+
+  // Parked at 1 shard; the wait record and the open route follow their
+  // nodes to shards 1 and 2, and the read completes in a parallel run.
+  std::vector<InvokeResult> first;
+  park(first);
+  ASSERT_TRUE(kernel.set_shards(4));
+  all_findable();
+  source.Produce(Value(std::string("one")));
+  EXPECT_TRUE(kernel.Run());
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(first[0].ok()) << first[0].status;
+  EXPECT_EQ(first[0].value.Field(kFieldItems), Value(ValueList{Value(std::string("one"))}));
+
+  // Parked at 4 shards; back to 1 and completed sequentially.
+  std::vector<InvokeResult> second;
+  park(second);
+  ASSERT_TRUE(kernel.set_shards(1));
+  all_findable();
+  source.Produce(Value(std::string("two")));
+  EXPECT_TRUE(kernel.Run());
+  ASSERT_EQ(second.size(), 1u);
+  ASSERT_TRUE(second[0].ok()) << second[0].status;
+  EXPECT_EQ(second[0].value.Field(kFieldItems), Value(ValueList{Value(std::string("two"))}));
 }
 
 }  // namespace
