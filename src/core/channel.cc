@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/eden/kernel.h"
+#include "src/eden/metrics.h"
 
 namespace eden {
 
@@ -59,6 +60,72 @@ std::optional<std::string> ChannelTable::Resolve(const Value& wire_id) const {
     return *name;
   }
   return std::nullopt;
+}
+
+void ChannelTable::AnswerOpenChannel(Eject& owner) {
+  owner.RegisterOp(std::string(kOpOpenChannel),
+                   [this, &owner](InvocationContext ctx) {
+                     HandleOpenChannel(std::move(ctx), owner.kernel());
+                   });
+}
+
+void ChannelTable::HandleOpenChannel(InvocationContext ctx, Kernel& kernel) {
+  if (locked_) {
+    ctx.ReplyError(StatusCode::kPermissionDenied, "channel table is locked");
+    return;
+  }
+  const std::string* name = ctx.Arg(kFieldName).AsStr();
+  if (name == nullptr || !Contains(*name)) {
+    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
+    return;
+  }
+  std::optional<Uid> capability = MintCapability(*name, kernel);
+  Value reply;
+  reply.Set(std::string(kFieldChannel), Value(*capability));
+  ctx.Reply(std::move(reply));
+}
+
+BandedChannel::~BandedChannel() = default;
+
+Value BandedChannel::Take(Band band) {
+  if (band == Band::kControl && !data_.empty()) {
+    Report(FlowEvent::kBandOvertake);
+  }
+  std::deque<Value>& queue = Queue(band);
+  Value item = std::move(queue.front());
+  queue.pop_front();
+  return item;
+}
+
+void BandedChannel::PutBack(Value item, Band band) {
+  Queue(BandOf(band)).push_front(std::move(item));
+  Report(FlowEvent::kPutBack);
+  ReportDepth();
+}
+
+void BandedChannel::ReportDepth() const {
+  owner_.kernel().ObserveQueueDepth(component_, owner_.uid(), Depth());
+}
+
+void BandedChannel::Report(FlowEvent event) const {
+  owner_.kernel().ObserveFlowEvent(component_, owner_.uid(), event);
+}
+
+void BandedChannel::Save(Value& state) const {
+  state.Set("buffer", Value(ValueList(data_.begin(), data_.end())));
+  if (!control_.empty()) {
+    state.Set("control", Value(ValueList(control_.begin(), control_.end())));
+  }
+}
+
+void BandedChannel::Restore(const Value& state) {
+  Clear();
+  if (const ValueList* buffer = state.Field("buffer").AsList()) {
+    data_.assign(buffer->begin(), buffer->end());
+  }
+  if (const ValueList* control = state.Field("control").AsList()) {
+    control_.assign(control->begin(), control->end());
+  }
 }
 
 }  // namespace eden

@@ -1,4 +1,5 @@
-// Channel identifiers and the per-Eject channel table.
+// Channel identifiers, the per-Eject channel table, and the banded channel
+// queue both passive stream ends share.
 //
 // Paper §5: "In the 'read only' model, a channel identifier is associated
 // with each output stream, and each Read invocation is qualified by the
@@ -17,22 +18,30 @@
 #define SRC_CORE_CHANNEL_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/core/stream.h"
+#include "src/eden/eject.h"
+#include "src/eden/sync.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
 
 namespace eden {
 
-class Kernel;
-
 // Resolves wire channel identifiers to declared channel names.
 class ChannelTable {
  public:
+  ChannelTable() = default;
+  // The OpenChannel handler holds the table's address.
+  ChannelTable(const ChannelTable&) = delete;
+  ChannelTable& operator=(const ChannelTable&) = delete;
+
   // Declares a channel; its integer identifier is its declaration order.
   // Returns the index. Declaring an existing name is an error (false).
   bool Declare(std::string name, bool capability_only = false);
@@ -52,10 +61,116 @@ class ChannelTable {
 
   size_t minted_count() const { return capabilities_.size(); }
 
+  // Registers the "OpenChannel" operation on `owner`, answered from this
+  // table (replacing any earlier registration). Both passive ends install
+  // it; on an Eject embedding both, the last table installed answers.
+  void AnswerOpenChannel(Eject& owner);
+  // Once channel setup is complete the owner may freeze capability minting;
+  // later OpenChannel invocations get kPermissionDenied.
+  void Lock() { locked_ = true; }
+
  private:
+  void HandleOpenChannel(InvocationContext ctx, Kernel& kernel);
+
+  bool locked_ = false;
   std::vector<std::string> names_;            // index -> name
   std::map<std::string, bool, std::less<>> capability_only_;
   std::map<Uid, std::string> capabilities_;   // minted UID -> name
+};
+
+// The two-band queue behind one channel of either passive end: a
+// StreamServer output channel (the producer appends, Transfers take) or a
+// StreamAcceptor input channel (Pushes append, the owner takes). Paper §5
+// makes the two ends duals, so everything but the asymmetric half lives
+// here: which band an item travels on, taking control ahead of data,
+// put-back, the depth and flow reports, the checkpointed queue contents,
+// and the watermarks, wait queue and deferred service of the owner's
+// processes. The server adds parked Transfers and the replay window; the
+// acceptor adds withheld Push replies and its positions.
+class BandedChannel {
+ public:
+  // `component` names the queue in depth and flow reports ("server",
+  // "acceptor"). `Options` is either end's channel options: the queue reads
+  // capacity, hiwat, lowat and sequenced.
+  template <typename Options>
+  BandedChannel(Eject& owner, std::string_view component,
+                const Options& options)
+      : limits(FlowLimits::Resolve(
+            options.hiwat != 0 ? options.hiwat : options.capacity,
+            options.lowat)),
+        sequenced(options.sequenced),
+        ready(owner),
+        // Deferred service (STREAMS srv): wakes the waiting processes once
+        // per burst or drain cycle instead of once per item.
+        service(owner.kernel(), [this] { ready.NotifyAll(); }),
+        owner_(owner),
+        component_(component) {}
+  BandedChannel(const BandedChannel&) = delete;
+  BandedChannel& operator=(const BandedChannel&) = delete;
+  // Out of line: one copy of the queue teardown instead of one per end.
+  ~BandedChannel();
+
+  // Sequenced channels are single-band: positions define a total order that
+  // band overtaking would violate, so every item there travels as data.
+  Band BandOf(Band band) const { return sequenced ? Band::kData : band; }
+  // Total queued depth across both bands.
+  size_t Depth() const { return data_.size() + control_.size(); }
+  // Whether `band` (or, without one, either band) holds an item.
+  bool Holds(std::optional<Band> band = std::nullopt) const {
+    return band ? !Queue(*band).empty() : Depth() != 0;
+  }
+  // The band the next take serves: control overtakes queued data.
+  Band FrontBand() const {
+    return control_.empty() ? Band::kData : Band::kControl;
+  }
+
+  template <typename V>
+  void Append(V&& item, Band band) {
+    Queue(BandOf(band)).push_back(std::forward<V>(item));
+  }
+  // Pops the front of `band`; a control item leaving ahead of queued data is
+  // reported as a band overtake.
+  Value Take(Band band);
+  // Back-enqueue (STREAMS putbq): returns an item to the front of its band.
+  void PutBack(Value item, Band band);
+  void Clear() {
+    data_.clear();
+    control_.clear();
+  }
+
+  void ReportDepth() const;
+  void Report(FlowEvent event) const;
+  // Schedules the deferred service if any process waits on `ready`.
+  void WakeWaiters() {
+    if (ready.waiter_count() > 0) {
+      service.Schedule();
+    }
+  }
+
+  // The queue's share of a channel checkpoint: "buffer" (data) and, when
+  // non-empty, "control".
+  void Save(Value& state) const;
+  void Restore(const Value& state);
+
+  const FlowLimits limits;  // hiwat 0 = pure laziness (server only)
+  const bool sequenced;
+  // The owner's processes wait here: a producer for space on a server
+  // channel, a consumer for items on an acceptor channel.
+  CondVar ready;
+  ServiceProc service;
+
+ private:
+  std::deque<Value>& Queue(Band band) {
+    return band == Band::kControl ? control_ : data_;
+  }
+  const std::deque<Value>& Queue(Band band) const {
+    return band == Band::kControl ? control_ : data_;
+  }
+
+  Eject& owner_;
+  std::string_view component_;
+  std::deque<Value> data_;     // band 0
+  std::deque<Value> control_;  // band 1: served first
 };
 
 }  // namespace eden

@@ -33,15 +33,16 @@ void PassiveBuffer::OnStart() {
 
 Task<void> PassiveBuffer::BandLoop(Band band) {
   for (;;) {
-    std::optional<Value> item = co_await acceptor_.NextOnBand(kChanIn, band);
-    if (!item) {
+    std::optional<StreamAcceptor::Taken> taken =
+        co_await acceptor_.Take(kChanIn, band);
+    if (!taken) {
       break;
     }
     // Bands survive the pipe: a control item that overtook data at the
     // input face is written to the output face's control band, where it
     // overtakes whatever data is still queued there too (and is exempt
     // from the output face's flow control).
-    co_await server_.Write(kChanOut, std::move(*item), band);
+    co_await server_.Write(kChanOut, std::move(taken->item), band);
     // The pipe's store is the sum of both faces.
     kernel().ObserveQueueDepth(
         "pipe", uid(),

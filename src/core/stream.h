@@ -50,9 +50,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 
+#include "src/eden/clock.h"
+#include "src/eden/stats.h"
+#include "src/eden/status.h"
 #include "src/eden/value.h"
 
 namespace eden {
@@ -108,6 +112,54 @@ struct FlowLimits {
   }
 };
 
+// The retry rule of the active ends (StreamReader's Transfers, StreamWriter's
+// Pushes). A failure worth re-invoking over — the target was briefly gone
+// (crash before reactivation) or the network swallowed a message — is
+// retried up to `attempts` times, the k-th retry after `backoff << (k-1)`
+// ticks. Anything else (bad channel, permission, data loss) is final. The
+// caller keeps the Invoke and Sleep awaits in its own coroutine frame:
+//
+//   RetryBudget retry(kernel.stats(), attempts, backoff);
+//   for (;;) {
+//     InvokeResult result = co_await owner.Invoke(...);
+//     if (std::optional<Tick> delay = retry.Next(result.status)) {
+//       if (*delay > 0) co_await owner.Sleep(*delay);
+//       continue;
+//     }
+//     retry.Settle(result.status);
+//     ...
+//   }
+class RetryBudget {
+ public:
+  RetryBudget(AtomicStats& stats, int attempts, Tick backoff)
+      : stats_(stats), attempts_(attempts), backoff_(backoff) {}
+
+  // After an invocation: the pause before re-invoking (0 = at once), or
+  // nullopt once `status` is final. Counts the retry.
+  std::optional<Tick> Next(const Status& status) {
+    bool retryable = status.is(StatusCode::kUnavailable) ||
+                     status.is(StatusCode::kDeadlineExceeded);
+    if (!retryable || attempt_ >= attempts_) {
+      return std::nullopt;
+    }
+    attempt_++;
+    stats_.retries++;
+    return backoff_ > 0 ? backoff_ << (attempt_ - 1) : 0;
+  }
+  // Counts a recovery when a success or end-of-stream needed retries.
+  void Settle(const Status& status) {
+    if (attempt_ > 0 && status.ok_or_end()) {
+      stats_.recoveries++;
+    }
+  }
+
+ private:
+  AtomicStats& stats_;
+  int attempts_;
+  Tick backoff_;
+  int attempt_ = 0;
+};
+
 // Conventional channel names. A pure filter has exactly kChanOut; impure
 // filters add kChanReport etc. (Figures 3 & 4). kChanIn names the primary
 // input buffer of passive-input Ejects.
@@ -132,11 +184,17 @@ inline Value MakeTransferArgs(Value channel, int64_t max, uint64_t seq,
   return args;
 }
 
-inline Value MakePushArgs(Value channel, ValueList items, bool end) {
+// Items travel on `band`. Data-band pushes omit the field (the classic wire
+// form stays byte-identical).
+inline Value MakePushArgs(Value channel, ValueList items, bool end,
+                          Band band = Band::kData) {
   Value args;
   args.Set(std::string(kFieldChannel), std::move(channel));
   args.Set(std::string(kFieldItems), Value(std::move(items)));
   args.Set(std::string(kFieldEnd), Value(end));
+  if (band != Band::kData) {
+    args.Set(std::string(kFieldBand), Value(static_cast<int64_t>(BandIndex(band))));
+  }
   return args;
 }
 
@@ -145,17 +203,6 @@ inline Value MakePushArgs(Value channel, ValueList items, bool end,
                           uint64_t seq) {
   Value args = MakePushArgs(std::move(channel), std::move(items), end);
   args.Set(std::string(kFieldSeq), Value(seq));
-  return args;
-}
-
-// Banded Push: items travel on `band`. Data-band pushes omit the field (the
-// classic wire form stays byte-identical).
-inline Value MakePushArgs(Value channel, ValueList items, bool end,
-                          Band band) {
-  Value args = MakePushArgs(std::move(channel), std::move(items), end);
-  if (band != Band::kData) {
-    args.Set(std::string(kFieldBand), Value(static_cast<int64_t>(BandIndex(band))));
-  }
   return args;
 }
 

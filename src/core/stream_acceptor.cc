@@ -13,27 +13,15 @@ void StreamAcceptor::DeclareChannel(std::string name, ChannelOptions options) {
   bool fresh = table_.Declare(name, options.capability_only);
   assert(fresh && "input channel declared twice");
   (void)fresh;
-  InChannel channel;
-  channel.name = name;
-  channel.limits = FlowLimits::Resolve(
-      options.hiwat != 0 ? options.hiwat : options.capacity, options.lowat);
-  channel.sequenced = options.sequenced;
-  channel.available = std::make_unique<CondVar>(owner_);
-  CondVar* available = channel.available.get();
-  // The service procedure wakes the (possibly blocked) consumer once per
-  // burst of pushes instead of once per push.
-  channel.service = std::make_unique<ServiceProc>(
-      owner_.kernel(), [available] { available->NotifyAll(); });
-  channels_.emplace(std::move(name), std::move(channel));
+  channels_.try_emplace(std::move(name), owner_, options);
 }
 
 void StreamAcceptor::InstallOps() {
   owner_.RegisterOp(std::string(kOpPush),
                     [this](InvocationContext ctx) { HandlePush(std::move(ctx)); });
+  // On an Eject that also embeds a StreamServer, the server's table answers.
   if (!owner_.Responds(std::string(kOpOpenChannel))) {
-    owner_.RegisterOp(std::string(kOpOpenChannel), [this](InvocationContext ctx) {
-      HandleOpenChannel(std::move(ctx));
-    });
+    table_.AnswerOpenChannel(owner_);
   }
 }
 
@@ -57,10 +45,6 @@ Value StreamAcceptor::PushReply(const InChannel& channel) const {
   return reply;
 }
 
-void StreamAcceptor::RecordDepth(const InChannel& channel) const {
-  owner_.kernel().ObserveQueueDepth("acceptor", owner_.uid(), Depth(channel));
-}
-
 void StreamAcceptor::HandlePush(InvocationContext ctx) {
   std::optional<std::string> name = table_.Resolve(ctx.Arg(kFieldChannel));
   if (!name) {
@@ -72,11 +56,8 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   pushes_received_++;
   const ValueList* items = ctx.Arg(kFieldItems).AsList();
   size_t count = items == nullptr ? 0 : items->size();
-  // Sequenced channels are single-band: positions define a total order that
-  // band overtaking would violate, so the band field is ignored there.
-  Band band = !ch->sequenced && ctx.Arg(kFieldBand).IntOr(0) != 0
-                  ? Band::kControl
-                  : Band::kData;
+  Band band = ch->BandOf(ctx.Arg(kFieldBand).IntOr(0) != 0 ? Band::kControl
+                                                          : Band::kData);
   size_t skip = 0;
   if (ch->sequenced) {
     int64_t seq = ctx.Arg(kFieldSeq).IntOr(-1);
@@ -96,9 +77,8 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
       }
     }
   }
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
   for (size_t i = skip; i < count; ++i) {
-    queue.push_back((*items)[i]);
+    ch->Append((*items)[i], band);
     ch->next_seq++;
     items_received_++;
   }
@@ -112,43 +92,28 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
                       ch->next_seq);
     }
   }
-  RecordDepth(*ch);
+  ch->ReportDepth();
   if (ctx.Arg(kFieldEnd).BoolOr(false)) {
     ch->ended = true;
   }
   // Deferred service: wake a blocked consumer once, at the next event, so a
   // burst of pushes coalesces into one wakeup.
-  if (ch->available->waiter_count() > 0) {
-    ch->service->Schedule();
-  }
+  ch->WakeWaiters();
   if (ch->ended) {
     // Nothing more is coming; flow control is moot. Free any producer still
     // parked on an old push before answering this one.
     ReleaseWithheld(*ch);
   } else if (band == Band::kData &&
-             (!ch->withheld.empty() || Depth(*ch) >= ch->limits.hiwat)) {
+             (!ch->withheld.empty() || ch->Depth() >= ch->limits.hiwat)) {
     // Flow control: the buffer reached hiwat (or earlier producers are
     // already parked — joining behind them keeps releases FIFO). Withhold
     // the reply until the owner drains below lowat. Control pushes are
     // exempt: they must overtake data, not park behind it.
-    owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
-                                     FlowEvent::kHiwatHit);
+    ch->Report(FlowEvent::kHiwatHit);
     ch->withheld.push_back(ctx.TakeReply());
     return;
   }
   ctx.Reply(PushReply(*ch));
-}
-
-void StreamAcceptor::HandleOpenChannel(InvocationContext ctx) {
-  const std::string* name = ctx.Arg(kFieldName).AsStr();
-  if (name == nullptr || !table_.Contains(*name)) {
-    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
-    return;
-  }
-  std::optional<Uid> capability = table_.MintCapability(*name, owner_.kernel());
-  Value reply;
-  reply.Set(std::string(kFieldChannel), Value(*capability));
-  ctx.Reply(std::move(reply));
 }
 
 void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
@@ -158,7 +123,7 @@ void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
   // queue can only shrink, so every producer is released immediately —
   // including when `ended` arrives while a final drain is still in flight.
   while (!channel.withheld.empty() &&
-         (channel.ended || Depth(channel) < channel.limits.lowat)) {
+         (channel.ended || channel.Depth() < channel.limits.lowat)) {
     ReplyHandle reply = std::move(channel.withheld.front());
     channel.withheld.pop_front();
     reply.Reply(PushReply(channel));
@@ -166,70 +131,29 @@ void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
 }
 
 Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
-    std::string_view channel) {
+    std::string_view channel, std::optional<Band> band) {
   InChannel* ch = Find(channel);
   assert(ch != nullptr && "read from undeclared input channel");
-  while (ch->buffer.empty() && ch->control.empty() && !ch->ended) {
-    co_await ch->available->Wait();
+  // Sequenced channels are single-band: their control queue is always
+  // empty, so a control-band loop simply idles until end of stream.
+  while (!ch->Holds(band) && !ch->ended) {
+    co_await ch->ready.Wait();
   }
-  if (ch->buffer.empty() && ch->control.empty()) {
+  if (!ch->Holds(band)) {
     ReleaseWithheld(*ch);
     co_return std::nullopt;
   }
   owner_.kernel().CountLocalStep();
-  Taken taken;
-  if (!ch->control.empty()) {
-    // Control overtakes: served ahead of any queued data.
-    taken.band = Band::kControl;
-    taken.item = std::move(ch->control.front());
-    ch->control.pop_front();
-    if (!ch->buffer.empty()) {
-      owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
-                                       FlowEvent::kBandOvertake);
-    }
-  } else {
-    taken.band = Band::kData;
-    taken.item = std::move(ch->buffer.front());
-    ch->buffer.pop_front();
-  }
+  Band from = band.value_or(ch->FrontBand());
+  Taken taken{ch->Take(from), from};
   ch->consumed++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1,
                     BandIndex(taken.band));
   }
-  RecordDepth(*ch);
+  ch->ReportDepth();
   ReleaseWithheld(*ch);
   co_return std::optional<Taken>(std::move(taken));
-}
-
-Task<std::optional<Value>> StreamAcceptor::NextOnBand(std::string_view channel,
-                                                      Band band) {
-  InChannel* ch = Find(channel);
-  assert(ch != nullptr && "read from undeclared input channel");
-  // Sequenced channels are single-band: their control queue is always
-  // empty, so a control-band loop simply idles until end of stream.
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
-  while (queue.empty() && !ch->ended) {
-    co_await ch->available->Wait();
-  }
-  if (queue.empty()) {
-    ReleaseWithheld(*ch);
-    co_return std::nullopt;
-  }
-  owner_.kernel().CountLocalStep();
-  if (band == Band::kControl && !ch->buffer.empty()) {
-    owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
-                                     FlowEvent::kBandOvertake);
-  }
-  Value item = std::move(queue.front());
-  queue.pop_front();
-  ch->consumed++;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
-  }
-  RecordDepth(*ch);
-  ReleaseWithheld(*ch);
-  co_return std::optional<Value>(std::move(item));
 }
 
 Task<std::optional<Value>> StreamAcceptor::Next(std::string_view channel) {
@@ -245,40 +169,34 @@ bool StreamAcceptor::CanPut(std::string_view channel, Band band) const {
   if (ch == nullptr) {
     return false;
   }
-  if (band == Band::kControl && !ch->sequenced) {
+  if (ch->BandOf(band) == Band::kControl) {
     return true;  // control is never subject to flow control
   }
-  return ch->withheld.empty() && Depth(*ch) < ch->limits.hiwat;
+  return ch->withheld.empty() && ch->Depth() < ch->limits.hiwat;
 }
 
 void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   InChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared input channel");
   assert(ch->consumed > 0 && "put-back without a matching take");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
-  queue.push_front(std::move(item));
   // The position is back in the queue: un-consume it so sequenced acks (and
   // the saved consumed mark) stay truthful.
   ch->consumed--;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
+    mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1,
+                   BandIndex(ch->BandOf(band)));
   }
-  owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
-                                   FlowEvent::kPutBack);
-  RecordDepth(*ch);
+  ch->PutBack(std::move(item), band);
 }
 
 bool StreamAcceptor::ended(std::string_view channel) const {
   const InChannel* ch = Find(channel);
-  return ch == nullptr || (ch->ended && Depth(*ch) == 0);
+  return ch == nullptr || (ch->ended && !ch->Holds());
 }
 
 size_t StreamAcceptor::buffered(std::string_view channel) const {
   const InChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : Depth(*ch);
+  return ch == nullptr ? 0 : ch->Depth();
 }
 
 FlowLimits StreamAcceptor::limits(std::string_view channel) const {
@@ -305,10 +223,7 @@ Value StreamAcceptor::SaveChannels() const {
     v.Set("ended", Value(ch.ended));
     v.Set("next", Value(ch.next_seq));
     v.Set("consumed", Value(ch.consumed));
-    v.Set("buffer", Value(ValueList(ch.buffer.begin(), ch.buffer.end())));
-    if (!ch.control.empty()) {
-      v.Set("control", Value(ValueList(ch.control.begin(), ch.control.end())));
-    }
+    ch.Save(v);
     state.emplace(name, std::move(v));
   }
   return Value(std::move(state));
@@ -327,14 +242,7 @@ void StreamAcceptor::RestoreChannels(const Value& state) {
     ch->ended = v.Field("ended").BoolOr(false);
     ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
     ch->consumed = static_cast<uint64_t>(v.Field("consumed").IntOr(0));
-    ch->buffer.clear();
-    ch->control.clear();
-    if (const ValueList* buffer = v.Field("buffer").AsList()) {
-      ch->buffer.assign(buffer->begin(), buffer->end());
-    }
-    if (const ValueList* control = v.Field("control").AsList()) {
-      ch->control.assign(control->begin(), control->end());
-    }
+    ch->Restore(v);
     if (ch->sequenced) {
       // Everything the checkpoint accepted is, by definition, durable now.
       ch->durable = ch->next_seq;

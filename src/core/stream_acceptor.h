@@ -23,7 +23,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -31,7 +30,6 @@
 #include "src/core/channel.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
-#include "src/eden/sync.h"
 
 namespace eden {
 
@@ -73,13 +71,13 @@ class StreamAcceptor {
   // Next item on `channel`, or nullopt once the stream has ended and the
   // buffer is drained. Control-band items overtake queued data.
   Task<std::optional<Value>> Next(std::string_view channel);
-  // As Next, but reports which band the item arrived on.
-  Task<std::optional<Taken>> Take(std::string_view channel);
-  // Next item on one band only, ignoring the other (for consumers that run
-  // one service loop per band, like PassiveBuffer — the control loop then
-  // never waits behind a data item stuck in flow control). Returns nullopt
-  // once the stream has ended and *this band* is drained.
-  Task<std::optional<Value>> NextOnBand(std::string_view channel, Band band);
+  // As Next, but reports which band the item arrived on. Given a band, takes
+  // from that band only, ignoring the other (for consumers that run one
+  // service loop per band, like PassiveBuffer — the control loop then never
+  // waits behind a data item stuck in flow control), and returns nullopt
+  // once the stream has ended and *that band* is drained.
+  Task<std::optional<Taken>> Take(std::string_view channel,
+                                  std::optional<Band> band = std::nullopt);
 
   // Admission check (STREAMS canput): would a Push on `band` be admitted
   // without its reply being withheld? Control pushes always are.
@@ -110,35 +108,24 @@ class StreamAcceptor {
   void RestoreChannels(const Value& state);
 
  private:
-  struct InChannel {
-    std::string name;
-    FlowLimits limits;
-    bool sequenced = false;
+  // The queue holds accepted, untaken items; the consumer waits on its
+  // `ready` for them.
+  struct InChannel : BandedChannel {
+    InChannel(Eject& owner, const ChannelOptions& options)
+        : BandedChannel(owner, "acceptor", options) {}
     bool ended = false;
-    std::deque<Value> buffer;   // data band (band 0)
-    std::deque<Value> control;  // control band (band 1): served first
     std::deque<ReplyHandle> withheld;  // flow-control: unanswered Push replies
     uint64_t next_seq = 0;   // position of the first item not yet accepted
     uint64_t consumed = 0;   // positions the owner has taken via Next()
     uint64_t durable = 0;
     bool explicit_durable = false;
-    std::unique_ptr<CondVar> available;
-    // Deferred service (STREAMS srv): coalesces consumer wakeups so a burst
-    // of pushes wakes a blocked consumer once, at drain time.
-    std::unique_ptr<ServiceProc> service;
   };
 
   void HandlePush(InvocationContext ctx);
-  void HandleOpenChannel(InvocationContext ctx);
   void ReleaseWithheld(InChannel& channel);
-  // Total queued depth across both bands.
-  static size_t Depth(const InChannel& channel) {
-    return channel.buffer.size() + channel.control.size();
-  }
   // The flow-control reply payload: empty for classic channels; {ack, next}
   // for sequenced ones.
   Value PushReply(const InChannel& channel) const;
-  void RecordDepth(const InChannel& channel) const;
 
   InChannel* Find(std::string_view name);
   const InChannel* Find(std::string_view name) const;

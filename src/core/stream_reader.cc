@@ -8,16 +8,6 @@
 
 namespace eden {
 
-namespace {
-// Failures worth re-invoking the source over: the target was briefly gone
-// (crash before reactivation) or the network swallowed a message. Anything
-// else — bad channel, permission, data loss — is permanent.
-bool Retryable(const Status& status) {
-  return status.is(StatusCode::kUnavailable) ||
-         status.is(StatusCode::kDeadlineExceeded);
-}
-}  // namespace
-
 void StreamReader::ResumeAt(uint64_t seq) {
   buffer_.clear();
   next_seq_ = seq;
@@ -80,7 +70,8 @@ void StreamReader::Ingest(InvokeResult result) {
 
 Task<void> StreamReader::FetchOnce() {
   fetch_in_flight_ = true;
-  int attempt = 0;
+  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
+                    options_.retry_backoff);
   for (;;) {
     Value args = options_.sequenced
                      ? MakeTransferArgs(channel_, options_.batch, next_seq_, ack())
@@ -88,18 +79,13 @@ Task<void> StreamReader::FetchOnce() {
     InvokeResult result =
         co_await owner_.Invoke(source_, std::string(kOpTransfer), std::move(args),
                                options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
+    if (std::optional<Tick> delay = retry.Next(result.status)) {
+      if (*delay > 0) {
+        co_await owner_.Sleep(*delay);
       }
       continue;
     }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
+    retry.Settle(result.status);
     fetch_in_flight_ = false;
     Ingest(std::move(result));
     if (fetch_done_.waiter_count() > 0) {

@@ -13,25 +13,13 @@ void StreamServer::DeclareChannel(std::string name, ChannelOptions options) {
   bool fresh = table_.Declare(name, options.capability_only);
   assert(fresh && "channel declared twice");
   (void)fresh;
-  OutChannel channel;
-  channel.name = name;
-  channel.limits = FlowLimits::Resolve(
-      options.hiwat != 0 ? options.hiwat : options.capacity, options.lowat);
-  channel.sequenced = options.sequenced;
-  channel.space = std::make_unique<CondVar>(owner_);
-  CondVar* space = channel.space.get();
-  // The service procedure wakes blocked producers once per drain cycle
-  // instead of once per served batch.
-  channel.service = std::make_unique<ServiceProc>(
-      owner_.kernel(), [space] { space->NotifyAll(); });
-  channels_.emplace(std::move(name), std::move(channel));
+  channels_.try_emplace(std::move(name), owner_, options);
 }
 
 void StreamServer::InstallOps() {
   owner_.RegisterOp(std::string(kOpTransfer),
                     [this](InvocationContext ctx) { HandleTransfer(std::move(ctx)); });
-  owner_.RegisterOp(std::string(kOpOpenChannel),
-                    [this](InvocationContext ctx) { HandleOpenChannel(std::move(ctx)); });
+  table_.AnswerOpenChannel(owner_);
 }
 
 StreamServer::OutChannel* StreamServer::Find(std::string_view name) {
@@ -49,12 +37,11 @@ bool StreamServer::WriteBlocked(OutChannel& channel) {
   if (channel.limits.hiwat == 0) {
     return true;
   }
-  size_t depth = Depth(channel);
+  size_t depth = channel.Depth();
   if (depth >= channel.limits.hiwat) {
     if (!channel.flow_blocked) {
       channel.flow_blocked = true;
-      owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
-                                       FlowEvent::kHiwatHit);
+      channel.Report(FlowEvent::kHiwatHit);
     }
     return true;
   }
@@ -65,23 +52,16 @@ bool StreamServer::WriteBlocked(OutChannel& channel) {
   return false;
 }
 
-Task<void> StreamServer::Write(std::string_view channel, Value item) {
-  co_await Write(channel, std::move(item), Band::kData);
-}
-
 Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) {
   OutChannel* ch = Find(channel);
   assert(ch != nullptr && "write to undeclared channel");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
-  if (band == Band::kData) {
+  if (ch->BandOf(band) == Band::kData) {
     // The producer may run ahead of demand by at most `hiwat` items; with
     // hiwat 0 it proceeds only when a consumer is already waiting. Once
     // blocked at hiwat it stays blocked until the buffer drains below
     // lowat. Control writes skip this entirely: they must overtake data.
     while (!ch->closed && ch->parked.empty() && WriteBlocked(*ch)) {
-      co_await ch->space->Wait();
+      co_await ch->ready.Wait();
     }
   }
   if (ch->closed) {
@@ -94,11 +74,11 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
     owner_.kernel().AdoptSpan(ch->parked.front().reply.id());
   }
   owner_.kernel().CountLocalStep();
-  (band == Band::kControl ? ch->control : ch->buffer).push_back(std::move(item));
+  ch->Append(std::move(item), band);
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
+  ch->ReportDepth();
   Pump(*ch);
 }
 
@@ -107,7 +87,7 @@ bool StreamServer::CanPut(std::string_view channel, Band band) const {
   if (ch == nullptr || ch->closed) {
     return false;
   }
-  if (band == Band::kControl && !ch->sequenced) {
+  if (ch->BandOf(band) == Band::kControl) {
     return true;  // control is never subject to flow control
   }
   if (!ch->parked.empty()) {
@@ -116,7 +96,7 @@ bool StreamServer::CanPut(std::string_view channel, Band band) const {
   if (ch->limits.hiwat == 0) {
     return false;  // pure laziness: no demand, no admission
   }
-  size_t depth = Depth(*ch);
+  size_t depth = ch->Depth();
   if (depth >= ch->limits.hiwat) {
     return false;
   }
@@ -126,18 +106,16 @@ bool StreamServer::CanPut(std::string_view channel, Band band) const {
 void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   OutChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared channel");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
-  (band == Band::kControl ? ch->control : ch->buffer).push_front(std::move(item));
   // The item enters the production buffer for the first time (the owner
   // cannot take items back out of a server buffer), so it counts as
   // produced — conservation must see it before Pump serves it.
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  owner_.kernel().ObserveFlowEvent("server", owner_.uid(), FlowEvent::kPutBack);
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
+  ch->PutBack(std::move(item), band);
+  if (!ch->parked.empty()) {
+    Pump(*ch);  // a parked Transfer must not wait for the next Write
+  }
 }
 
 void StreamServer::Close(std::string_view channel) {
@@ -148,7 +126,7 @@ void StreamServer::Close(std::string_view channel) {
   }
   ch->closed = true;
   Pump(*ch);
-  ch->space->NotifyAll();
+  ch->ready.NotifyAll();
 }
 
 void StreamServer::CloseAll() {
@@ -156,7 +134,7 @@ void StreamServer::CloseAll() {
     if (!channel.closed) {
       channel.closed = true;
       Pump(channel);
-      channel.space->NotifyAll();
+      channel.ready.NotifyAll();
     }
   }
 }
@@ -167,10 +145,9 @@ void StreamServer::AbortAll(Status status) {
     if (channel.abort_status.ok()) {
       channel.abort_status = status;
     }
-    channel.buffer.clear();
-    channel.control.clear();
+    channel.Clear();
     Pump(channel);
-    channel.space->NotifyAll();
+    channel.ready.NotifyAll();
   }
 }
 
@@ -182,7 +159,7 @@ void StreamServer::Pump(OutChannel& channel) {
       const Parked& front = channel.parked.front();
       bool replayable = channel.sequenced && front.seq >= 0 &&
                         static_cast<uint64_t>(front.seq) < channel.next_seq;
-      if (Depth(channel) == 0 && !channel.closed && !replayable) {
+      if (!channel.Holds() && !channel.closed && !replayable) {
         break;  // nothing to serve yet; keep the vacuum
       }
     }
@@ -213,26 +190,20 @@ void StreamServer::Pump(OutChannel& channel) {
     uint64_t first = pos;
     ValueList items;
     size_t fresh = 0;
-    size_t overtakes = 0;
     bool redelivered = false;
     int64_t take = std::max<int64_t>(request.max, 1);
     while (take-- > 0) {
-      if (!channel.control.empty()) {
+      if (channel.Holds(Band::kControl)) {
         // Control overtakes: queued control items lead every batch, ahead
         // of replay and data. (Sequenced channels never queue control.)
-        if (!channel.buffer.empty()) {
-          overtakes++;
-        }
-        items.push_back(std::move(channel.control.front()));
-        channel.control.pop_front();
+        items.push_back(channel.Take(Band::kControl));
         fresh++;
       } else if (pos < channel.next_seq) {
         items.push_back(channel.replay[pos - channel.replay_base]);
         redelivered = true;
         pos++;
-      } else if (!channel.buffer.empty()) {
-        Value item = std::move(channel.buffer.front());
-        channel.buffer.pop_front();
+      } else if (channel.Holds(Band::kData)) {
+        Value item = channel.Take(Band::kData);
         if (channel.sequenced) {
           channel.replay.push_back(item);
         }
@@ -244,7 +215,7 @@ void StreamServer::Pump(OutChannel& channel) {
         break;
       }
     }
-    bool end = channel.closed && Depth(channel) == 0 && pos >= channel.next_seq;
+    bool end = channel.closed && !channel.Holds() && pos >= channel.next_seq;
     items_delivered_ += fresh;
     transfers_served_++;
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
@@ -260,27 +231,21 @@ void StreamServer::Pump(OutChannel& channel) {
     if (redelivered) {
       owner_.kernel().stats().redeliveries++;
     }
-    for (; overtakes > 0; --overtakes) {
-      owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
-                                       FlowEvent::kBandOvertake);
-    }
     request.reply.Reply(channel.sequenced
                             ? MakeBatchReply(std::move(items), end, first)
                             : MakeBatchReply(std::move(items), end));
   }
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(channel));
+  channel.ReportDepth();
   // Back-enable the producer under the lowat rule: closed channels and
   // parked demand always release; a watermarked channel releases only once
   // drained below lowat (clearing the hysteresis latch). Deferred service
   // coalesces the wakeup to drain time.
-  bool drained = channel.limits.hiwat != 0 && Depth(channel) < channel.limits.lowat;
+  bool drained = channel.limits.hiwat != 0 && channel.Depth() < channel.limits.lowat;
   if (drained) {
     channel.flow_blocked = false;
   }
   if (channel.closed || drained || !channel.parked.empty()) {
-    if (channel.space->waiter_count() > 0) {
-      channel.service->Schedule();
-    }
+    channel.WakeWaiters();
   }
 }
 
@@ -318,25 +283,9 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
   Pump(*ch);
 }
 
-void StreamServer::HandleOpenChannel(InvocationContext ctx) {
-  if (channels_locked_) {
-    ctx.ReplyError(StatusCode::kPermissionDenied, "channel table is locked");
-    return;
-  }
-  const std::string* name = ctx.Arg(kFieldName).AsStr();
-  if (name == nullptr || !table_.Contains(*name)) {
-    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
-    return;
-  }
-  std::optional<Uid> capability = table_.MintCapability(*name, owner_.kernel());
-  Value reply;
-  reply.Set(std::string(kFieldChannel), Value(*capability));
-  ctx.Reply(std::move(reply));
-}
-
 size_t StreamServer::buffered(std::string_view channel) const {
   const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : Depth(*ch);
+  return ch == nullptr ? 0 : ch->Depth();
 }
 
 FlowLimits StreamServer::limits(std::string_view channel) const {
@@ -372,10 +321,7 @@ Value StreamServer::SaveChannels() const {
     v.Set("next", Value(ch.next_seq));
     v.Set("base", Value(ch.replay_base));
     v.Set("replay", Value(ValueList(ch.replay.begin(), ch.replay.end())));
-    v.Set("buffer", Value(ValueList(ch.buffer.begin(), ch.buffer.end())));
-    if (!ch.control.empty()) {
-      v.Set("control", Value(ValueList(ch.control.begin(), ch.control.end())));
-    }
+    ch.Save(v);
     state.emplace(name, std::move(v));
   }
   return Value(std::move(state));
@@ -395,18 +341,11 @@ void StreamServer::RestoreChannels(const Value& state) {
     ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
     ch->replay_base = static_cast<uint64_t>(v.Field("base").IntOr(0));
     ch->replay.clear();
-    ch->buffer.clear();
-    ch->control.clear();
     ch->flow_blocked = false;
     if (const ValueList* replay = v.Field("replay").AsList()) {
       ch->replay.assign(replay->begin(), replay->end());
     }
-    if (const ValueList* buffer = v.Field("buffer").AsList()) {
-      ch->buffer.assign(buffer->begin(), buffer->end());
-    }
-    if (const ValueList* control = v.Field("control").AsList()) {
-      ch->control.assign(control->begin(), control->end());
-    }
+    ch->Restore(v);
   }
 }
 

@@ -16,14 +16,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "src/core/channel.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
-#include "src/eden/sync.h"
 
 namespace eden {
 
@@ -62,19 +60,19 @@ class StreamServer {
 
   // ---- Producer side (owner's coroutines).
   // Blocks until the channel can accept the item (space, or parked demand).
-  // Items written to a closed channel are silently dropped.
-  Task<void> Write(std::string_view channel, Value item);
-  // Writes `item` on the band: control items are exempt from flow control
-  // (never block) and are served ahead of queued data. On a sequenced
-  // channel (single-band: positions define a total order) a control write
-  // degrades to a data write.
-  Task<void> Write(std::string_view channel, Value item, Band band);
+  // Items written to a closed channel are silently dropped. Control items
+  // are exempt from flow control (never block) and are served ahead of
+  // queued data. On a sequenced channel (single-band: positions define a
+  // total order) a control write degrades to a data write.
+  Task<void> Write(std::string_view channel, Value item,
+                   Band band = Band::kData);
   // Admission check (STREAMS canput): would a data Write proceed without
   // blocking right now?
   bool CanPut(std::string_view channel, Band band = Band::kData) const;
   // Back-enqueue (STREAMS putbq): returns an item to the *front* of its
-  // band, preserving order within the band. For producers that obtained an
-  // item (e.g. from an upstream pull) but cannot finish it this round.
+  // band, preserving order within the band, and serves any parked demand.
+  // For producers that obtained an item (e.g. from an upstream pull) but
+  // cannot finish it this round.
   void PutBack(std::string_view channel, Value item, Band band = Band::kData);
   // Marks end-of-stream; flushes the end marker to parked readers.
   void Close(std::string_view channel);
@@ -83,10 +81,6 @@ class StreamServer {
   // receive `status` instead of items. Used to propagate an upstream crash
   // downstream rather than masking it as a clean end-of-stream.
   void AbortAll(Status status);
-
-  // Once channel setup is complete the owner may freeze capability minting;
-  // later OpenChannel invocations get kPermissionDenied.
-  void LockChannels() { channels_locked_ = true; }
 
   // Invoked the first time any Transfer arrives (laziness experiments).
   void set_on_first_demand(std::function<void()> fn) { on_first_demand_ = std::move(fn); }
@@ -127,38 +121,30 @@ class StreamServer {
     int64_t max = 1;
     int64_t seq = -1;  // requested position; -1 = classic (next fresh item)
   };
-  struct OutChannel {
-    std::string name;
-    FlowLimits limits;  // hiwat 0 = pure laziness (block until demand)
-    bool sequenced = false;
+  // The queue holds produced, never-served items; the producer waits on
+  // its `ready` for space.
+  struct OutChannel : BandedChannel {
+    OutChannel(Eject& owner, const ChannelOptions& options)
+        : BandedChannel(owner, "server", options) {}
     bool closed = false;
     // Hysteresis latch: set when the buffer reaches hiwat, cleared only
     // once it drains below lowat — a blocked producer is woken once per
     // drain cycle, not once per item.
     bool flow_blocked = false;
     Status abort_status;  // non-OK once the stream is aborted
-    std::deque<Value> buffer;   // data band: produced, never served
-    std::deque<Value> control;  // control band: served ahead of data
     std::deque<Parked> parked;
     // Sequenced channels: served-but-unacknowledged items occupy positions
     // [replay_base, next_seq) and are re-served on request.
     std::deque<Value> replay;
     uint64_t replay_base = 0;
     uint64_t next_seq = 0;  // position of the next fresh (unserved) item
-    std::unique_ptr<CondVar> space;  // producer waits here
-    // Deferred service: coalesces producer wakeups to drain time.
-    std::unique_ptr<ServiceProc> service;
   };
 
   void HandleTransfer(InvocationContext ctx);
-  void HandleOpenChannel(InvocationContext ctx);
   // Serves parked requests while items (or the end marker) are available.
   void Pump(OutChannel& channel);
   // Watermark admission for a data write; maintains the hysteresis latch.
   bool WriteBlocked(OutChannel& channel);
-  static size_t Depth(const OutChannel& channel) {
-    return channel.buffer.size() + channel.control.size();
-  }
 
   OutChannel* Find(std::string_view name);
   const OutChannel* Find(std::string_view name) const;
@@ -168,7 +154,6 @@ class StreamServer {
   std::map<std::string, OutChannel, std::less<>> channels_;
   std::function<void()> on_first_demand_;
   bool demand_seen_ = false;
-  bool channels_locked_ = false;
   uint64_t items_delivered_ = 0;
   uint64_t transfers_served_ = 0;
   uint64_t transfers_aborted_ = 0;

@@ -2,25 +2,22 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/eden/monitor.h"
 
 namespace eden {
 
-namespace {
-bool Retryable(const Status& status) {
-  return status.is(StatusCode::kUnavailable) ||
-         status.is(StatusCode::kDeadlineExceeded);
-}
-}  // namespace
-
 Task<Status> StreamWriter::Send(bool end) {
   if (options_.sequenced) {
-    co_return co_await SendSequenced(end);
+    return SendSequenced(end);
   }
-  ValueList items;
-  items.swap(pending_);
+  return Push(std::exchange(pending_, {}), end, Band::kData);
+}
+
+Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
   items_written_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
@@ -28,31 +25,29 @@ Task<Status> StreamWriter::Send(bool end) {
       mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(), items.size());
     }
   }
-  int attempt = 0;
+  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
+                    options_.retry_backoff);
   for (;;) {
     pushes_sent_++;
+    // `items` is copied per attempt so a retry resends the same payload.
     InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush), MakePushArgs(channel_, items, end),
+        sink_, std::string(kOpPush), MakePushArgs(channel_, items, end, band),
         options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
+    if (std::optional<Tick> delay = retry.Next(result.status)) {
+      if (*delay > 0) {
+        co_await owner_.Sleep(*delay);
       }
       continue;
     }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
+    retry.Settle(result.status);
     status_ = std::move(result.status);
     co_return status_;
   }
 }
 
 Task<Status> StreamWriter::SendSequenced(bool end) {
-  int attempt = 0;
+  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
+                    options_.retry_backoff);
   for (;;) {
     uint64_t first = cursor_;
     uint64_t total = replay_base_ + replay_.size();
@@ -72,21 +67,17 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
     InvokeResult result = co_await owner_.Invoke(
         sink_, std::string(kOpPush),
         MakePushArgs(channel_, std::move(items), end, first), options_.deadline);
-    if (!result.ok()) {
-      if (Retryable(result.status) && attempt < options_.retry_attempts) {
-        attempt++;
-        owner_.kernel().stats().retries++;
-        if (options_.retry_backoff > 0) {
-          co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
-        }
-        continue;  // resend the same window
+    if (std::optional<Tick> delay = retry.Next(result.status)) {
+      if (*delay > 0) {
+        co_await owner_.Sleep(*delay);
       }
+      continue;  // resend the same window
+    }
+    if (!result.ok()) {
       status_ = std::move(result.status);
       co_return status_;
     }
-    if (attempt > 0) {
-      owner_.kernel().stats().recoveries++;
-    }
+    retry.Settle(result.status);
     uint64_t next = static_cast<uint64_t>(
         result.value.Field(kFieldNext).IntOr(static_cast<int64_t>(first + count)));
     uint64_t ack = static_cast<uint64_t>(
@@ -145,42 +136,14 @@ Task<Status> StreamWriter::Write(Value item) {
 }
 
 Task<Status> StreamWriter::WriteControl(Value item) {
-  if (ended_ || !status_.ok_or_end()) {
-    co_return status_.ok_or_end() ? Status(StatusCode::kEndOfStream) : status_;
+  if (options_.sequenced || ended_ || !status_.ok_or_end()) {
+    // Write refuses items after End or a failure, and a sequenced channel
+    // carries control as data.
+    return Write(std::move(item));
   }
-  if (options_.sequenced) {
-    co_return co_await Write(std::move(item));
-  }
-  items_written_++;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
-    mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(), 1);
-  }
-  int attempt = 0;
-  for (;;) {
-    pushes_sent_++;
-    // `item` is copied per attempt so a retry resends the same payload.
-    ValueList payload;
-    payload.push_back(item);
-    Value args = MakePushArgs(channel_, std::move(payload), /*end=*/false,
-                              Band::kControl);
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush), std::move(args), options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
-      }
-      continue;
-    }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
-    status_ = std::move(result.status);
-    co_return status_;
-  }
+  ValueList items;
+  items.push_back(std::move(item));
+  return Push(std::move(items), /*end=*/false, Band::kControl);
 }
 
 Task<Status> StreamWriter::Flush() {

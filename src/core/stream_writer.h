@@ -76,7 +76,12 @@ class StreamWriter {
   void RestoreState(const Value& state);
 
  private:
+  // Sends the pending batch, or in sequenced mode the unsent window. Returns
+  // the push loop's own task, so a send costs one coroutine frame.
   Task<Status> Send(bool end);
+  // The classic push loop: one Push of `items` on `band`, retried under the
+  // options' RetryBudget.
+  Task<Status> Push(ValueList items, bool end, Band band);
   Task<Status> SendSequenced(bool end);
 
   Eject& owner_;

@@ -486,17 +486,8 @@ void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord w
               options_.costs.dispatch;
   EDEN_LOG(*this, kDebug) << "invoke " << from.Short() << " -> " << target.Short()
                           << " " << op << " (id " << id << ")";
-  if (observing()) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kInvoke;
-    event.at = now();
-    event.from = from;
-    event.to = target;
-    event.op = op;
-    event.id = id;
-    event.parent = current_span();
-    Observe(event);
-  }
+  ObserveTrace(TraceEvent::Kind::kInvoke, from, target, id, wait.parent,
+               /*ok=*/true, op);
   // Fault injection applies to inter-Eject traffic only, so external drivers
   // keep a reliable channel. A dropped invocation leaves its wait record in
   // place: the deadline (if any) is the caller's only way to learn of the
@@ -508,18 +499,8 @@ void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord w
       fault_->invocations_dropped_++;
       stats_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
       EDEN_LOG(*this, kInfo) << "fault: lost invoke " << op << " (id " << id << ")";
-      if (observing()) {
-        TraceEvent event;
-        event.kind = TraceEvent::Kind::kDrop;
-        event.at = now();
-        event.from = from;
-        event.to = target;
-        event.op = op;
-        event.id = id;
-        event.parent = current_span();
-        event.ok = false;
-        Observe(event);
-      }
+      ObserveTrace(TraceEvent::Kind::kDrop, from, target, id, wait.parent,
+                   /*ok=*/false, op);
     } else {
       cost += fault_->NextJitter();
     }
@@ -663,18 +644,8 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     fault_->replies_dropped_++;
     stats_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
     EDEN_LOG(*this, kInfo) << "fault: lost reply (id " << id << ")";
-    if (observing()) {
-      TraceEvent event;
-      event.kind = TraceEvent::Kind::kDrop;
-      event.at = now();
-      event.from = it->second.target;
-      event.to = it->second.caller;
-      event.op = "reply";
-      event.id = id;
-      event.parent = it->second.parent;
-      event.ok = false;
-      Observe(event);
-    }
+    ObserveTrace(TraceEvent::Kind::kDrop, it->second.target, it->second.caller,
+                 id, it->second.parent, /*ok=*/false, "reply");
     return;
   }
 
@@ -685,17 +656,8 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     // to the operation name captured when the invocation left.
     metrics_->RecordLatency(route.op, static_cast<uint64_t>(now() - route.sent_at));
   }
-  if (observing()) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kReply;
-    event.at = now();
-    event.from = route.target;
-    event.to = route.caller;
-    event.id = id;
-    event.parent = route.parent;
-    event.ok = status.ok_or_end();
-    Observe(event);
-  }
+  ObserveTrace(TraceEvent::Kind::kReply, route.target, route.caller, id,
+               route.parent, status.ok_or_end());
   NodeId target_node = route.target_ref.node;
   Tick cost = options_.costs.MessageCost(bytes, target_node, route.caller_node);
   if (fault_ != nullptr && !route.caller.IsNil()) {
@@ -775,17 +737,8 @@ void Kernel::FireDeadline(InvocationId id) {
   }
   stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
   EDEN_LOG(*this, kInfo) << "deadline exceeded (id " << id << ")";
-  if (observing()) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kTimeout;
-    event.at = now();
-    event.from = wait.target;
-    event.to = wait.caller;
-    event.id = id;
-    event.parent = wait.parent;
-    event.ok = false;
-    Observe(event);
-  }
+  ObserveTrace(TraceEvent::Kind::kTimeout, wait.target, wait.caller, id,
+               wait.parent, /*ok=*/false);
   // Erasing the wait record above is what "drops" any later reply: its
   // arrival (cross-node) or its send (same-node) finds nothing to consume.
   DeliverReplyToWait(std::move(wait),
@@ -830,17 +783,8 @@ void Kernel::TearDown(const Uid& uid, bool is_crash) {
   EjectSlot& slot = SlotAt(ref);
   if (is_crash) {
     stats_.crashes.fetch_add(1, std::memory_order_relaxed);
-    if (observing()) {
-      TraceEvent event;
-      event.kind = TraceEvent::Kind::kCrash;
-      event.at = now();
-      event.from = uid;
-      event.to = uid;
-      event.op = slot.instance->type_name();
-      event.parent = current_span();
-      event.ok = false;
-      Observe(event);
-    }
+    ObserveTrace(TraceEvent::Kind::kCrash, uid, uid, /*id=*/0, current_span(),
+                 /*ok=*/false, slot.instance->type_name());
   } else {
     stats_.passivations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -1188,6 +1132,22 @@ void Kernel::Observe(const TraceEvent& event) {
     return;
   }
   DeliverTrace(event);
+}
+
+void Kernel::ObserveTraceSlow(TraceEvent::Kind kind, const Uid& from,
+                              const Uid& to, InvocationId id,
+                              InvocationId parent, bool ok,
+                              std::string_view op) {
+  TraceEvent event;
+  event.kind = kind;
+  event.at = now();
+  event.from = from;
+  event.to = to;
+  event.op = std::string(op);
+  event.id = id;
+  event.parent = parent;
+  event.ok = ok;
+  Observe(event);
 }
 
 void Kernel::ObserveQueueDepthSlow(std::string_view component, const Uid& owner,

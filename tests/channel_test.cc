@@ -4,6 +4,7 @@
 #include "src/core/channel.h"
 #include "src/core/endpoints.h"
 #include "src/core/filter_eject.h"
+#include "src/core/passive_buffer.h"
 #include "src/core/stream.h"
 #include "src/eden/kernel.h"
 #include "src/filters/transforms.h"
@@ -140,12 +141,12 @@ TEST(ChannelTest, CapabilityChannelsPreventSnooping) {
   EXPECT_EQ(sink.items().size(), 6u);
 }
 
-// After LockChannels, even OpenChannel is refused: the interconnection phase
+// After the channel table is locked, even OpenChannel is refused: the interconnection phase
 // is over and the channel set is frozen.
 TEST(ChannelTest, LockedChannelsRefuseMinting) {
   Kernel kernel;
   VectorSource& source = kernel.CreateLocal<VectorSource>(MakeInts(3));
-  source.server().LockChannels();
+  source.server().table().Lock();
   InvokeResult r = kernel.InvokeAndRun(
       source.uid(), std::string(kOpOpenChannel),
       Value().Set(std::string(kFieldName), Value(std::string(kChanOut))));
@@ -159,6 +160,32 @@ TEST(ChannelTest, OpenChannelForUnknownNameFails) {
       source.uid(), std::string(kOpOpenChannel),
       Value().Set(std::string(kFieldName), Value("no-such")));
   EXPECT_TRUE(r.status.is(StatusCode::kNoSuchChannel));
+}
+
+// An Eject embedding both passive ends (a PassiveBuffer) answers OpenChannel
+// from its output side's table: "out" mints a working Transfer capability,
+// while the input side's "in" is unknown there.
+TEST(ChannelTest, PassiveBufferOpensOutputChannels) {
+  Kernel kernel;
+  PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>();
+  InvokeResult in = kernel.InvokeAndRun(
+      pipe.uid(), std::string(kOpOpenChannel),
+      Value().Set(std::string(kFieldName), Value(std::string(kChanIn))));
+  EXPECT_TRUE(in.status.is(StatusCode::kNoSuchChannel));
+  InvokeResult out = kernel.InvokeAndRun(
+      pipe.uid(), std::string(kOpOpenChannel),
+      Value().Set(std::string(kFieldName), Value(std::string(kChanOut))));
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(kernel
+                  .InvokeAndRun(pipe.uid(), "Push",
+                                MakePushArgs(Value(std::string(kChanIn)),
+                                             {Value(int64_t{7})}, true))
+                  .ok());
+  InvokeResult r = kernel.InvokeAndRun(
+      pipe.uid(), "Transfer",
+      MakeTransferArgs(out.value.Field(kFieldChannel), 4));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value.Field(kFieldItems), Value(ValueList{Value(int64_t{7})}));
 }
 
 // Each minted capability is distinct, and all address the same channel.

@@ -404,6 +404,30 @@ TEST(ServerFlowTest, PutBackRestoresTheFrontOfTheBand) {
   EXPECT_EQ((*items)[1].IntOr(-1), 0);
 }
 
+TEST(ServerFlowTest, PutBackServesParkedDemand) {
+  // A Transfer parked on an empty buffer is answered by the put-back itself,
+  // not left waiting for the producer's next Write or Close.
+  Kernel kernel;
+  StreamServer::ChannelOptions options;
+  options.hiwat = 8;
+  ManualSource& source = kernel.CreateLocal<ManualSource>(options);
+  std::optional<InvokeResult> reply;
+  kernel.ExternalInvoke(source.uid(), "Transfer",
+                        MakeTransferArgs(Value(std::string(kChanOut)), 4),
+                        [&reply](InvokeResult r) { reply = std::move(r); });
+  kernel.Run();
+  ASSERT_EQ(source.server.parked_requests(kChanOut), 1u);
+  source.server.PutBack(kChanOut, Value(int64_t{-1}));
+  kernel.Run();
+  EXPECT_EQ(source.server.parked_requests(kChanOut), 0u);
+  EXPECT_EQ(source.server.buffered(kChanOut), 0u);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(reply->ok());
+  EXPECT_EQ(reply->value.Field(kFieldItems),
+            Value(ValueList{Value(int64_t{-1})}));
+  EXPECT_FALSE(reply->value.Field(kFieldEnd).BoolOr(true));
+}
+
 // ------------------------------------------------------------- ServiceProc
 
 TEST(ServiceProcTest, CoalescesBurstsIntoOneRun) {
