@@ -1,7 +1,10 @@
 #include "src/core/pipeline.h"
 
 #include <cassert>
+#include <functional>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/pipeline_verify.h"
@@ -22,14 +25,6 @@ std::string_view DisciplineName(Discipline discipline) {
 }
 
 namespace {
-
-NodeId PlaceNext(Kernel& kernel, const PipelineOptions& options, int& counter) {
-  if (!options.distinct_nodes) {
-    return NodeId{0};
-  }
-  return kernel.AddNode("pipe-node-" + std::to_string(counter++),
-                        options.partition_shard);
-}
 
 // ---- Recovery scaffolding.
 
@@ -77,16 +72,6 @@ class PipelineMonitor : public Eject {
   std::function<bool()> done_;
 };
 
-FilterRecoveryOptions MakeFilterRecovery(const PipelineOptions& options) {
-  FilterRecoveryOptions recovery;
-  recovery.enabled = options.recovery.enabled;
-  recovery.checkpoint_every = options.recovery.checkpoint_every;
-  recovery.deadline = options.recovery.deadline;
-  recovery.retry_attempts = options.recovery.retry_attempts;
-  recovery.retry_backoff = options.recovery.retry_backoff;
-  return recovery;
-}
-
 // A reactivation type name unique within this kernel. Deterministic given
 // the same build sequence (no global counters: two same-seed kernels in one
 // process must produce byte-identical checkpoints, and the type name is
@@ -103,286 +88,203 @@ std::string UniqueTypeName(Kernel& kernel, const std::string& base) {
   return name;
 }
 
-void MaybeAddMonitor(Kernel& kernel, const PipelineOptions& options,
-                     PipelineHandle& handle, std::vector<Uid> filters) {
-  if (!options.recovery.enabled || filters.empty()) {
+// Points a stage's push output at its downstream stage and channel.
+using BindOutputFn = std::function<void(const Uid& to, const Value& channel)>;
+
+// The deadline/retry knobs of an active stream end (EffectiveRecovery: zero
+// unless recovery is enabled).
+template <typename EndOptions>
+void SetRecovery(EndOptions& end, const verify::RecoveryKnobs& knobs) {
+  end.deadline = knobs.deadline;
+  end.retry_attempts = knobs.retry_attempts;
+  end.retry_backoff = knobs.retry_backoff;
+  end.sequenced = knobs.enabled;
+}
+
+// The options every filter class shares.
+template <typename Filter>
+typename Filter::Options FilterOptions(const PipelineOptions& options,
+                                       const verify::RecoveryKnobs& knobs) {
+  typename Filter::Options filter;
+  filter.batch = options.batch;
+  filter.processing_cost = options.processing_cost;
+  filter.recovery.enabled = knobs.enabled;
+  filter.recovery.checkpoint_every = knobs.checkpoint_every;
+  filter.recovery.deadline = knobs.deadline;
+  filter.recovery.retry_attempts = knobs.retry_attempts;
+  filter.recovery.retry_backoff = knobs.retry_backoff;
+  return filter;
+}
+
+template <typename Filter>
+constexpr bool kPushesOutput = !std::is_same_v<Filter, ReadOnlyFilter>;
+
+// Registers the reactivation factory of a recoverable filter: a fresh
+// instance from the same transform factory and options, bound to the same
+// downstream (the binding is part of the type, not the checkpoint).
+template <typename Filter>
+void RegisterReactivation(Kernel& kernel, const TransformFactory& factory,
+                          const typename Filter::Options& filter_options,
+                          const Uid& to = Uid(), const Value& channel = Value()) {
+  kernel.types().Register(
+      filter_options.recovery.eject_type,
+      [factory, filter_options, to, channel](Kernel& k) -> std::unique_ptr<Eject> {
+        auto fresh = std::make_unique<Filter>(k, factory(), filter_options);
+        if constexpr (kPushesOutput<Filter>) {
+          fresh->BindOutput(std::string(kChanOut), to, channel);
+        }
+        return fresh;
+      });
+}
+
+// Creates transform stage `index` (0-based). A filter with a push output
+// gets `bind`; the reactivation factory of a recoverable one is registered
+// once that output is bound.
+template <typename Filter>
+Filter& CreateFilter(Kernel& kernel, NodeId node, const TransformFactory& factory,
+                     typename Filter::Options& filter_options, size_t index,
+                     BindOutputFn& bind) {
+  if (filter_options.recovery.enabled) {
+    filter_options.recovery.eject_type = UniqueTypeName(
+        kernel, std::string(Filter::kType) + "/" + std::to_string(index));
+  }
+  Filter& filter = kernel.Create<Filter>(node, factory(), filter_options);
+  if constexpr (kPushesOutput<Filter>) {
+    if (filter_options.recovery.enabled) {
+      bind = [&kernel, &filter, factory, filter_options](const Uid& to,
+                                                         const Value& channel) {
+        filter.BindOutput(std::string(kChanOut), to, channel);
+        RegisterReactivation<Filter>(kernel, factory, filter_options, to, channel);
+      };
+    } else {
+      bind = [&filter](const Uid& to, const Value& channel) {
+        filter.BindOutput(std::string(kChanOut), to, channel);
+      };
+    }
+  } else if (filter_options.recovery.enabled) {
+    RegisterReactivation<Filter>(kernel, factory, filter_options);
+  }
+  return filter;
+}
+
+// Instantiates the plan as WalkPlan visits it: creates each stage's Eject
+// in plan (source..sink) order and binds each push edge as soon as its
+// downstream stage exists. The stage's stream ends (§4) pick the Eject
+// class; the plan's watermarks and channels and the effective recovery
+// knobs configure it.
+struct Instantiation {
+  Kernel& kernel;
+  const PipelineOptions& options;
+  const std::vector<TransformFactory>& stages;
+  ValueList input;
+  verify::RecoveryKnobs knobs;
+  PipelineHandle handle{};
+  std::vector<BindOutputFn> bind{};  // each stage's push output, by position
+  std::vector<Uid> filters{};
+
+  void Add(const verify::StageSpec& stage, const verify::EdgeSpec* feed);
+  // The recovery monitor, when recovery is on and there are filters.
+  void AddMonitor();
+};
+
+void Instantiation::Add(const verify::StageSpec& stage,
+                        const verify::EdgeSpec* feed) {
+  const size_t position = handle.ejects.size();
+  const NodeId node =
+      options.distinct_nodes
+          ? kernel.AddNode("pipe-node-" + std::to_string(position),
+                           stage.shard_hint)
+          : NodeId{0};
+  assert(node == stage.node && "the plan names the node AddNode returns");
+  const Uid upstream =
+      feed == nullptr ? Uid() : handle.ejects[PlanPosition(feed->from)];
+  BindOutputFn& output = bind.emplace_back();
+  Eject* eject = nullptr;
+  if (stage.is_source && stage.passive_output) {
+    VectorSource::Options source;
+    source.work_ahead = stage.hiwat;
+    source.work_ahead_lowat = stage.lowat;
+    source.start_on_demand = stage.lazy;
+    source.sequenced = knobs.enabled;
+    eject = &kernel.Create<VectorSource>(node, std::move(input), source);
+  } else if (stage.is_source) {
+    PushSource::Options source;
+    source.batch = options.batch;
+    SetRecovery(source, knobs);
+    PushSource& push = kernel.Create<PushSource>(node, std::move(input), source);
+    output = [&push](const Uid& to, const Value& channel) {
+      push.BindOutput(to, channel);
+    };
+    eject = &push;
+  } else if (stage.is_sink && stage.active_input) {
+    PullSink::Options sink;
+    sink.batch = options.batch;
+    sink.lookahead = options.lookahead;
+    SetRecovery(sink, knobs);
+    handle.pull_sink = &kernel.Create<PullSink>(node, upstream,
+                                                Value(feed->channel), sink);
+    eject = handle.pull_sink;
+  } else if (stage.is_sink) {
+    PushSink::Options sink;
+    sink.capacity = stage.hiwat;
+    sink.lowat = stage.lowat;
+    sink.sequenced = knobs.enabled;
+    handle.push_sink = &kernel.Create<PushSink>(node, sink);
+    eject = handle.push_sink;
+  } else if (stage.passive_input && stage.passive_output) {
+    PassiveBuffer::Options pipe;
+    pipe.capacity = stage.hiwat;
+    pipe.lowat = stage.lowat;
+    pipe.sequenced = knobs.enabled;
+    eject = &kernel.Create<PassiveBuffer>(node, pipe);
+    handle.passive_buffer_count++;
+  } else {
+    // A transform stage: read-only, write-only or conventional filter.
+    const size_t index = filters.size();
+    if (stage.passive_output) {
+      auto filter = FilterOptions<ReadOnlyFilter>(options, knobs);
+      filter.source = upstream;
+      filter.source_channel = Value(feed->channel);
+      filter.lookahead = options.lookahead;
+      filter.work_ahead = stage.hiwat;
+      filter.work_ahead_lowat = stage.lowat;
+      filter.start_on_demand = stage.lazy;
+      eject = &CreateFilter<ReadOnlyFilter>(kernel, node, stages[index], filter,
+                                            index, output);
+    } else if (stage.passive_input) {
+      auto filter = FilterOptions<WriteOnlyFilter>(options, knobs);
+      filter.input_capacity = stage.hiwat;
+      filter.input_lowat = stage.lowat;
+      eject = &CreateFilter<WriteOnlyFilter>(kernel, node, stages[index],
+                                             filter, index, output);
+    } else {
+      auto filter = FilterOptions<ConventionalFilter>(options, knobs);
+      filter.source = upstream;
+      filter.source_channel = Value(feed->channel);
+      filter.lookahead = options.lookahead;
+      eject = &CreateFilter<ConventionalFilter>(kernel, node, stages[index],
+                                                filter, index, output);
+    }
+    filters.push_back(eject->uid());
+  }
+  if (feed != nullptr && feed->mode == verify::EdgeSpec::Mode::kPush) {
+    bind[PlanPosition(feed->from)](eject->uid(), Value(feed->channel));
+  }
+  handle.ejects.push_back(eject->uid());
+  handle.stage_names.push_back(stage.name);
+}
+
+void Instantiation::AddMonitor() {
+  if (!knobs.enabled || filters.empty()) {
     return;
   }
   PipelineMonitor& monitor = kernel.Create<PipelineMonitor>(
-      NodeId{0}, std::move(filters), options.recovery.probe_interval,
-      options.recovery.deadline);
-  PullSink* pull = handle.pull_sink;
-  PushSink* push = handle.push_sink;
-  monitor.set_done([pull, push] {
-    return pull != nullptr ? pull->done() : (push != nullptr && push->done());
-  });
+      NodeId{0}, std::move(filters), knobs.probe_interval, knobs.deadline);
+  PipelineHandle sinks;
+  sinks.pull_sink = handle.pull_sink;
+  sinks.push_sink = handle.push_sink;
+  monitor.set_done([sinks = std::move(sinks)] { return sinks.done(); });
   handle.monitor = monitor.uid();
-}
-
-PipelineHandle BuildReadOnly(Kernel& kernel, ValueList input,
-                             const std::vector<TransformFactory>& stages,
-                             const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kReadOnly;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
-
-  VectorSource::Options source_options;
-  source_options.work_ahead = options.work_ahead;
-  source_options.work_ahead_lowat = options.work_ahead_lowat;
-  source_options.start_on_demand = options.start_on_demand;
-  source_options.sequenced = recovery;
-  VectorSource& source = kernel.Create<VectorSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  std::vector<Uid> filter_uids;
-  Uid upstream = source.uid();
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    ReadOnlyFilter::Options filter_options;
-    filter_options.source = upstream;
-    filter_options.batch = options.batch;
-    filter_options.lookahead = options.lookahead;
-    filter_options.work_ahead = options.work_ahead;
-    filter_options.work_ahead_lowat = options.work_ahead_lowat;
-    filter_options.start_on_demand = options.start_on_demand;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(ReadOnlyFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    ReadOnlyFilter& filter =
-        kernel.Create<ReadOnlyFilter>(PlaceNext(kernel, options, node_counter),
-                                      factory(), filter_options);
-    if (recovery) {
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options](Kernel& k) -> std::unique_ptr<Eject> {
-            return std::make_unique<ReadOnlyFilter>(k, factory(), filter_options);
-          });
-      filter_uids.push_back(filter.uid());
-    }
-    handle.ejects.push_back(filter.uid());
-    upstream = filter.uid();
-    stage_index++;
-  }
-
-  PullSink::Options sink_options;
-  sink_options.batch = options.batch;
-  sink_options.lookahead = options.lookahead;
-  sink_options.deadline = recovery ? options.recovery.deadline : 0;
-  sink_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  sink_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  sink_options.sequenced = recovery;
-  PullSink& sink = kernel.Create<PullSink>(PlaceNext(kernel, options, node_counter),
-                                           upstream, Value(std::string(kChanOut)),
-                                           sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.pull_sink = &sink;
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
-}
-
-PipelineHandle BuildWriteOnly(Kernel& kernel, ValueList input,
-                              const std::vector<TransformFactory>& stages,
-                              const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kWriteOnly;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
-
-  PushSource::Options source_options;
-  source_options.batch = options.batch;
-  source_options.deadline = recovery ? options.recovery.deadline : 0;
-  source_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  source_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  source_options.sequenced = recovery;
-  PushSource& source = kernel.Create<PushSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  std::vector<WriteOnlyFilter*> filters;
-  std::vector<WriteOnlyFilter::Options> filter_option_copies;
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    WriteOnlyFilter::Options filter_options;
-    filter_options.batch = options.batch;
-    filter_options.input_capacity = options.acceptor_capacity;
-    filter_options.input_lowat = options.acceptor_lowat;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(WriteOnlyFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    WriteOnlyFilter& filter =
-        kernel.Create<WriteOnlyFilter>(PlaceNext(kernel, options, node_counter),
-                                       factory(), filter_options);
-    handle.ejects.push_back(filter.uid());
-    filters.push_back(&filter);
-    filter_option_copies.push_back(filter_options);
-    stage_index++;
-  }
-
-  PushSink::Options sink_options;
-  sink_options.capacity = options.acceptor_capacity;
-  sink_options.lowat = options.acceptor_lowat;
-  sink_options.sequenced = recovery;
-  PushSink& sink = kernel.Create<PushSink>(PlaceNext(kernel, options, node_counter),
-                                           sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.push_sink = &sink;
-
-  // Wire source -> F1 -> ... -> Fn -> sink (data flows with control flow).
-  // Reactivation factories are registered here, once the downstream of each
-  // filter is known: the binding is part of the type, not the checkpoint.
-  Uid downstream = sink.uid();
-  for (size_t i = filters.size(); i-- > 0;) {
-    filters[i]->BindOutput(std::string(kChanOut), downstream,
-                           Value(std::string(kChanIn)));
-    if (recovery) {
-      TransformFactory factory = stages[i];
-      WriteOnlyFilter::Options filter_options = filter_option_copies[i];
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options, downstream](Kernel& k) -> std::unique_ptr<Eject> {
-            auto fresh =
-                std::make_unique<WriteOnlyFilter>(k, factory(), filter_options);
-            fresh->BindOutput(std::string(kChanOut), downstream,
-                              Value(std::string(kChanIn)));
-            return fresh;
-          });
-    }
-    downstream = filters[i]->uid();
-  }
-  source.BindOutput(downstream, Value(std::string(kChanIn)));
-
-  std::vector<Uid> filter_uids;
-  for (WriteOnlyFilter* filter : filters) {
-    filter_uids.push_back(filter->uid());
-  }
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
-}
-
-PipelineHandle BuildConventional(Kernel& kernel, ValueList input,
-                                 const std::vector<TransformFactory>& stages,
-                                 const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kConventional;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
-
-  PushSource::Options source_options;
-  source_options.batch = options.batch;
-  source_options.deadline = recovery ? options.recovery.deadline : 0;
-  source_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  source_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  source_options.sequenced = recovery;
-  PushSource& source = kernel.Create<PushSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  PassiveBuffer::Options pipe_options;
-  pipe_options.capacity = options.pipe_capacity;
-  pipe_options.lowat = options.pipe_lowat;
-  pipe_options.sequenced = recovery;
-
-  // Every junction gets a pipe: source->p0, Fi->pi, Fn->pn->sink (Figure 1,
-  // with the paper's §4 count of n+1 passive buffers).
-  PassiveBuffer& first_pipe = kernel.Create<PassiveBuffer>(
-      PlaceNext(kernel, options, node_counter), pipe_options);
-  handle.ejects.push_back(first_pipe.uid());
-  handle.passive_buffer_count++;
-  source.BindOutput(first_pipe.uid(), Value(std::string(kChanIn)));
-
-  std::vector<Uid> filter_uids;
-  Uid upstream_pipe = first_pipe.uid();
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    ConventionalFilter::Options filter_options;
-    filter_options.source = upstream_pipe;
-    filter_options.batch = options.batch;
-    filter_options.lookahead = options.lookahead;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(ConventionalFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    ConventionalFilter& filter =
-        kernel.Create<ConventionalFilter>(PlaceNext(kernel, options, node_counter),
-                                          factory(), filter_options);
-    handle.ejects.push_back(filter.uid());
-
-    PassiveBuffer& pipe = kernel.Create<PassiveBuffer>(
-        PlaceNext(kernel, options, node_counter), pipe_options);
-    handle.ejects.push_back(pipe.uid());
-    handle.passive_buffer_count++;
-    filter.BindOutput(std::string(kChanOut), pipe.uid(), Value(std::string(kChanIn)));
-    if (recovery) {
-      Uid downstream = pipe.uid();
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options, downstream](Kernel& k) -> std::unique_ptr<Eject> {
-            auto fresh =
-                std::make_unique<ConventionalFilter>(k, factory(), filter_options);
-            fresh->BindOutput(std::string(kChanOut), downstream,
-                              Value(std::string(kChanIn)));
-            return fresh;
-          });
-      filter_uids.push_back(filter.uid());
-    }
-    upstream_pipe = pipe.uid();
-    stage_index++;
-  }
-
-  PullSink::Options sink_options;
-  sink_options.batch = options.batch;
-  sink_options.lookahead = options.lookahead;
-  sink_options.deadline = recovery ? options.recovery.deadline : 0;
-  sink_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  sink_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  sink_options.sequenced = recovery;
-  PullSink& sink = kernel.Create<PullSink>(PlaceNext(kernel, options, node_counter),
-                                           upstream_pipe,
-                                           Value(std::string(kChanOut)), sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.pull_sink = &sink;
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
-}
-
-// Role names parallel to handle.ejects. The eject order is fixed by the
-// builders: source, then (for conventional) alternating pipe/filter pairs,
-// then the sink.
-void FillStageNames(PipelineHandle& handle) {
-  handle.stage_names.clear();
-  handle.stage_names.reserve(handle.ejects.size());
-  int filter = 0;
-  int pipe = 0;
-  for (size_t i = 0; i < handle.ejects.size(); ++i) {
-    if (i == 0) {
-      handle.stage_names.push_back("source");
-    } else if (i + 1 == handle.ejects.size()) {
-      handle.stage_names.push_back("sink");
-    } else if (handle.discipline == Discipline::kConventional && i % 2 == 1) {
-      handle.stage_names.push_back("pipe" + std::to_string(pipe++));
-    } else {
-      handle.stage_names.push_back("filter" + std::to_string(++filter));
-    }
-  }
 }
 
 }  // namespace
@@ -402,22 +304,23 @@ PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
       return rejected;
     }
   }
-  PipelineHandle handle;
-  switch (options.discipline) {
-    case Discipline::kReadOnly:
-      handle = BuildReadOnly(kernel, std::move(input), stages, options);
-      break;
-    case Discipline::kWriteOnly:
-      handle = BuildWriteOnly(kernel, std::move(input), stages, options);
-      break;
-    case Discipline::kConventional:
-      handle = BuildConventional(kernel, std::move(input), stages, options);
-      break;
-  }
-  assert(!handle.ejects.empty() && "unknown discipline");
-  handle.lint = std::move(lint);
-  FillStageNames(handle);
-  return handle;
+  Instantiation build{kernel, options, stages, std::move(input),
+                      EffectiveRecovery(options)};
+  build.handle.discipline = options.discipline;
+  const size_t count = PredictedEjectCount(options.discipline, stages.size());
+  build.handle.ejects.reserve(count);
+  build.handle.stage_names.reserve(count);
+  build.bind.reserve(count);
+  build.filters.reserve(stages.size());
+  WalkPlan(stages.size(), options, static_cast<NodeId>(kernel.node_count()),
+           [&build](const verify::StageSpec& stage, const verify::EdgeSpec* feed) {
+             build.Add(stage, feed);
+           });
+  build.handle.source = build.handle.ejects.front();
+  build.handle.sink = build.handle.ejects.back();
+  build.AddMonitor();
+  build.handle.lint = std::move(lint);
+  return std::move(build.handle);
 }
 
 ValueList RunPipeline(Kernel& kernel, ValueList input,

@@ -87,7 +87,7 @@ struct PipelineHandle {
   Discipline discipline = Discipline::kReadOnly;
   std::vector<Uid> ejects;          // all Ejects, source..sink order
   // Human-readable role of each Eject, parallel to `ejects` ("source",
-  // "filter1", "pipe0", "sink", ...). Filled by BuildPipeline.
+  // "filter1", "pipe0", "sink", ...): the plan's stage names.
   std::vector<std::string> stage_names;
   size_t passive_buffer_count = 0;  // pipes interposed (conventional only)
   Uid source;
@@ -135,6 +135,8 @@ struct PipelineHandle {
 };
 
 // Builds the pipeline and starts it; run the kernel until handle.done().
+// The pipeline is the instantiated PlanTopology(stages.size(), options,
+// kernel) (pipeline_verify.h): one Eject per plan stage, in plan order.
 PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
                              const std::vector<TransformFactory>& stages,
                              const PipelineOptions& options = PipelineOptions());

@@ -1,7 +1,7 @@
 #include "src/core/pipeline_verify.h"
 
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "src/core/endpoints.h"
 #include "src/core/filter_eject.h"
@@ -24,12 +24,40 @@ verify::Flavor FlavorOf(Discipline discipline) {
   return verify::Flavor::kMixed;
 }
 
-verify::RecoveryKnobs KnobsOf(const PipelineOptions& options) {
+void Bound(verify::StageSpec& ends, size_t hiwat, size_t lowat) {
+  ends.bounded = true;
+  ends.hiwat = hiwat;
+  ends.lowat = lowat;
+}
+
+verify::TopologySpec Plan(size_t stage_count, const PipelineOptions& options,
+                          NodeId first_node) {
+  verify::TopologySpec spec;
+  spec.flavor = FlavorOf(options.discipline);
+  spec.recovery = EffectiveRecovery(options);
+  WalkPlan(stage_count, options, first_node,
+           [&spec](const verify::StageSpec& stage, const verify::EdgeSpec* feed) {
+             spec.AddStage(stage);
+             if (feed != nullptr) {
+               spec.AddEdge(*feed);
+             }
+           });
+  return spec;
+}
+
+void SetConcurrency(verify::TopologySpec& spec, const Kernel& kernel) {
+  spec.has_concurrency = true;
+  spec.shards = kernel.shard_count();
+  spec.lookahead = kernel.options().lookahead;
+  spec.costs = kernel.costs();
+}
+
+}  // namespace
+
+verify::RecoveryKnobs EffectiveRecovery(const PipelineOptions& options) {
   verify::RecoveryKnobs knobs;
   knobs.enabled = options.recovery.enabled;
   if (options.recovery.enabled) {
-    // effective_* gating: disabled recovery zeroes every other knob, exactly
-    // as the builders do when they hand options to filters and endpoints.
     knobs.deadline = options.recovery.deadline;
     knobs.retry_attempts = options.recovery.retry_attempts;
     knobs.retry_backoff = options.recovery.retry_backoff;
@@ -39,173 +67,148 @@ verify::RecoveryKnobs KnobsOf(const PipelineOptions& options) {
   return knobs;
 }
 
-// Shared shape builder: `uid_of(i)` supplies the stage UID for position i in
-// source..sink order, so the plan (synthetic UIDs) and the as-built
-// description (handle.ejects) produce structurally identical specs.
-template <typename UidOf>
-verify::TopologySpec BuildSpec(size_t stage_count,
-                               const PipelineOptions& options, UidOf uid_of) {
-  verify::TopologySpec spec;
-  spec.flavor = FlavorOf(options.discipline);
-  spec.recovery = KnobsOf(options);
-  const bool lazy = options.discipline == Discipline::kReadOnly &&
-                    options.start_on_demand;
-
+void WalkPlan(size_t stage_count, const PipelineOptions& options,
+              NodeId first_node, const PlanVisitor& visit) {
   size_t position = 0;
-  auto add = [&](std::string name, std::string type,
-                 verify::StageSpec ends) -> verify::StageSpec& {
-    ends.uid = uid_of(position++);
+  verify::EdgeSpec pull;
+  pull.mode = verify::EdgeSpec::Mode::kPull;
+  pull.channel = kChanOut;
+  verify::EdgeSpec push;
+  push.mode = verify::EdgeSpec::Mode::kPush;
+  push.channel = kChanIn;
+  verify::EdgeSpec* feed = nullptr;  // the wire into the next stage
+  // `ends` holds a stage's role, Eject type and watermarks; add() stamps its
+  // name, placeholder UID and node, and visits it with the wire from the
+  // stage before. The active end decides who invokes whom: an active output
+  // pushes into the next stage's "in", otherwise the next stage pulls this
+  // one's "out".
+  auto add = [&](std::string name, verify::StageSpec& ends) {
+    ends.uid = Uid(0, position + 1);
     ends.name = std::move(name);
-    ends.type = std::move(type);
-    return spec.AddStage(std::move(ends));
+    if (options.distinct_nodes) {
+      ends.node = first_node + static_cast<NodeId>(position);
+      ends.shard_hint = options.partition_shard;
+    }
+    if (feed != nullptr) {
+      feed->to = ends.uid;
+    }
+    visit(ends, feed);
+    feed = ends.active_output ? &push : &pull;
+    feed->from = ends.uid;
+    ++position;
   };
-  auto watermark = [](verify::StageSpec& ends, size_t hiwat, size_t lowat) {
-    ends.bounded = true;
-    ends.hiwat = hiwat;
-    ends.lowat = lowat;
-  };
+  auto filter_name = [](size_t i) { return "filter" + std::to_string(i + 1); };
 
+  verify::StageSpec source;
+  source.is_source = true;
+  verify::StageSpec filter;
+  verify::StageSpec sink;
+  sink.is_sink = true;
   switch (options.discipline) {
     case Discipline::kReadOnly: {
-      verify::StageSpec source;
-      source.is_source = true;
-      source.passive_output = true;
-      source.lazy = lazy;
-      watermark(source, options.work_ahead, options.work_ahead_lowat);
-      Uid upstream = add("source", VectorSource::kType, source).uid;
-      for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec filter;
-        filter.active_input = true;
-        filter.passive_output = true;
-        filter.lazy = lazy;
-        watermark(filter, options.work_ahead, options.work_ahead_lowat);
-        Uid uid = add("filter" + std::to_string(i + 1),
-                      ReadOnlyFilter::kType, filter)
-                      .uid;
-        spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
-        upstream = uid;
+      // Source and filters answer Transfer from a work-ahead buffer.
+      for (verify::StageSpec* server : {&source, &filter}) {
+        server->passive_output = true;
+        server->lazy = options.start_on_demand;
+        Bound(*server, options.work_ahead, options.work_ahead_lowat);
       }
-      verify::StageSpec sink;
-      sink.is_sink = true;
+      source.type = VectorSource::kType;
+      add("source", source);
+      filter.type = ReadOnlyFilter::kType;
+      filter.active_input = true;
+      for (size_t i = 0; i < stage_count; ++i) {
+        add(filter_name(i), filter);
+      }
+      sink.type = PullSink::kType;
       sink.active_input = true;
-      Uid uid = add("sink", PullSink::kType, sink).uid;
-      spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
+      add("sink", sink);
       break;
     }
     case Discipline::kWriteOnly: {
-      verify::StageSpec source;
-      source.is_source = true;
+      source.type = PushSource::kType;
       source.active_output = true;
-      Uid upstream = add("source", PushSource::kType, source).uid;
+      add("source", source);
+      filter.type = WriteOnlyFilter::kType;
+      filter.passive_input = true;
+      filter.active_output = true;
+      Bound(filter, options.acceptor_capacity, options.acceptor_lowat);
       for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec filter;
-        filter.passive_input = true;
-        filter.active_output = true;
-        watermark(filter, options.acceptor_capacity, options.acceptor_lowat);
-        Uid uid = add("filter" + std::to_string(i + 1),
-                      WriteOnlyFilter::kType, filter)
-                      .uid;
-        spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
-        upstream = uid;
+        add(filter_name(i), filter);
       }
-      verify::StageSpec sink;
-      sink.is_sink = true;
+      sink.type = PushSink::kType;
       sink.passive_input = true;
-      watermark(sink, options.acceptor_capacity, options.acceptor_lowat);
-      Uid uid = add("sink", PushSink::kType, sink).uid;
-      spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
+      Bound(sink, options.acceptor_capacity, options.acceptor_lowat);
+      add("sink", sink);
       break;
     }
     case Discipline::kConventional: {
-      verify::StageSpec source;
-      source.is_source = true;
+      // Every junction gets a pipe (Figure 1, with §4's n+1 passive buffers).
+      source.type = PushSource::kType;
       source.active_output = true;
-      Uid upstream = add("source", PushSource::kType, source).uid;
+      add("source", source);
+      verify::StageSpec pipe;
+      pipe.type = PassiveBuffer::kType;
+      pipe.passive_input = true;
+      pipe.passive_output = true;
+      Bound(pipe, options.pipe_capacity, options.pipe_lowat);
+      filter.type = ConventionalFilter::kType;
+      filter.active_input = true;
+      filter.active_output = true;
       for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec pipe;
-        pipe.passive_input = true;
-        pipe.passive_output = true;
-        watermark(pipe, options.pipe_capacity, options.pipe_lowat);
-        Uid pipe_uid =
-            add("pipe" + std::to_string(i), PassiveBuffer::kType, pipe).uid;
-        spec.Connect(upstream, pipe_uid, verify::EdgeSpec::Mode::kPush,
-                     std::string(kChanIn));
-        verify::StageSpec filter;
-        filter.active_input = true;
-        filter.active_output = true;
-        Uid filter_uid = add("filter" + std::to_string(i + 1),
-                             ConventionalFilter::kType, filter)
-                             .uid;
-        spec.Connect(pipe_uid, filter_uid, verify::EdgeSpec::Mode::kPull,
-                     std::string(kChanOut));
-        upstream = filter_uid;
+        add("pipe" + std::to_string(i), pipe);
+        add(filter_name(i), filter);
       }
-      verify::StageSpec last_pipe;
-      last_pipe.passive_input = true;
-      last_pipe.passive_output = true;
-      watermark(last_pipe, options.pipe_capacity, options.pipe_lowat);
-      Uid pipe_uid = add("pipe" + std::to_string(stage_count),
-                         PassiveBuffer::kType, last_pipe)
-                         .uid;
-      spec.Connect(upstream, pipe_uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
-      verify::StageSpec sink;
-      sink.is_sink = true;
+      add("pipe" + std::to_string(stage_count), pipe);
+      sink.type = PullSink::kType;
       sink.active_input = true;
-      Uid sink_uid = add("sink", PullSink::kType, sink).uid;
-      spec.Connect(pipe_uid, sink_uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
+      add("sink", sink);
       break;
     }
   }
-  return spec;
 }
-
-}  // namespace
 
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options) {
-  return BuildSpec(stage_count, options,
-                   [](size_t i) { return Uid(0, i + 1); });
+  return Plan(stage_count, options, 1);
 }
 
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options,
                                   const Kernel& kernel) {
-  verify::TopologySpec spec = PlanTopology(stage_count, options);
-  spec.has_concurrency = true;
-  spec.shards = kernel.shard_count();
-  spec.lookahead = kernel.options().lookahead;
-  spec.costs = kernel.costs();
-  if (options.distinct_nodes) {
-    // PlaceNext mints one fresh node per Eject in creation order, which for
-    // every discipline is BuildSpec's position order; relative ids keep the
-    // same shard arithmetic (consecutive nodes -> consecutive shards).
-    NodeId node = 1;
-    for (verify::StageSpec& stage : spec.stages) {
-      stage.node = node++;
-      stage.shard_hint = options.partition_shard;
-    }
-  }
+  verify::TopologySpec spec =
+      Plan(stage_count, options, static_cast<NodeId>(kernel.node_count()));
+  SetConcurrency(spec, kernel);
   return spec;
 }
 
 verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
                                       const PipelineOptions& options) {
-  size_t stage_count = 0;
-  switch (handle.discipline) {
-    case Discipline::kReadOnly:
-    case Discipline::kWriteOnly:
-      stage_count = handle.ejects.size() >= 2 ? handle.ejects.size() - 2 : 0;
-      break;
-    case Discipline::kConventional:
-      stage_count =
-          handle.ejects.size() >= 3 ? (handle.ejects.size() - 3) / 2 : 0;
-      break;
+  PipelineOptions built = options;
+  built.discipline = handle.discipline;
+  Eject* sink = handle.pull_sink != nullptr
+                    ? static_cast<Eject*>(handle.pull_sink)
+                    : handle.push_sink;
+  if (sink == nullptr) {
+    // A lint-rejected handle: nothing was built, so there is no stage.
+    verify::TopologySpec spec;
+    spec.flavor = FlavorOf(built.discipline);
+    spec.recovery = EffectiveRecovery(built);
+    return spec;
   }
-  PipelineOptions adjusted = options;
-  adjusted.discipline = handle.discipline;
-  return BuildSpec(stage_count, adjusted, [&handle](size_t i) {
-    return i < handle.ejects.size() ? handle.ejects[i] : Uid();
-  });
+  // The endpoints and the pipes aside, every Eject is a transform stage;
+  // the sink took the plan's last node.
+  verify::TopologySpec spec =
+      Plan(handle.ejects.size() - handle.passive_buffer_count - 2, built,
+           sink->node() - static_cast<NodeId>(handle.ejects.size() - 1));
+  SetConcurrency(spec, sink->kernel());
+  for (verify::StageSpec& stage : spec.stages) {
+    stage.uid = handle.ejects[PlanPosition(stage.uid)];
+  }
+  for (verify::EdgeSpec& edge : spec.edges) {
+    edge.from = handle.ejects[PlanPosition(edge.from)];
+    edge.to = handle.ejects[PlanPosition(edge.to)];
+  }
+  return spec;
 }
 
 verify::LintReport LintPipelinePlan(size_t stage_count,

@@ -1,11 +1,12 @@
 // Bridge between the pipeline builder and the static verification layer:
-// renders a (stages, options) plan — or a finished PipelineHandle — as the
-// TopologySpec the PipelineLinter analyses. Lives in core so the verify
-// library stays free of runtime pipeline types.
+// the (stages, options) plan BuildPipeline instantiates, as the TopologySpec
+// the PipelineLinter analyses. Lives in core so the verify library stays
+// free of runtime pipeline types.
 #ifndef SRC_CORE_PIPELINE_VERIFY_H_
 #define SRC_CORE_PIPELINE_VERIFY_H_
 
 #include <cstddef>
+#include <functional>
 
 #include "src/core/pipeline.h"
 #include "src/eden/verify/lint.h"
@@ -13,29 +14,55 @@
 
 namespace eden {
 
-// The topology BuildPipeline *would* construct for `stage_count` transform
-// stages under `options`, before any Eject exists. Stage UIDs are synthetic
-// placeholders (Uid(0, i+1) in source..sink order); names match the
-// stage_names BuildPipeline will assign, so a diagnostic against the plan
-// reads the same as one against the built pipeline.
+// The recovery knobs in effect: every knob but `enabled` reads zero unless
+// recovery is enabled. The one place that rule is decided: the builder
+// hands these knobs to filters and stream ends, and the plan carries them
+// for the linter.
+verify::RecoveryKnobs EffectiveRecovery(const PipelineOptions& options);
+
+// Receives one plan stage and the wire that feeds it from an earlier stage
+// (nullptr for the source).
+using PlanVisitor = std::function<void(const verify::StageSpec& stage,
+                                       const verify::EdgeSpec* feed)>;
+
+// The one description of each discipline's stage sequence: visits every
+// stage of the pipeline for `stage_count` transform stages under `options`
+// in creation (source..sink) order, with its name, Eject type, watermarks,
+// push/pull feed and channel, and placement. Stage i carries the
+// placeholder UID Uid(0, i + 1) (see PlanPosition) and, under
+// distinct_nodes, node first_node + i with shard_hint =
+// options.partition_shard. Each stage is fed by the one before it.
+// BuildPipeline creates one Eject per visit, so a build allocates no
+// TopologySpec; PlanTopology collects the visits into one.
+void WalkPlan(size_t stage_count, const PipelineOptions& options,
+              NodeId first_node, const PlanVisitor& visit);
+
+// The topology BuildPipeline constructs for `stage_count` transform stages
+// under `options`, with placement as on a fresh kernel (first node 1).
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options);
 
-// Same plan, with the concurrency context (shard count, configured
-// lookahead, cost model) read off `kernel` and node placement stamped the
-// way the builders will mint it (distinct_nodes: position i -> the (i+1)-th
-// fresh node, shard_hint = options.partition_shard). Arms the ASC010-ASC012
-// shard-safety rules; without a kernel they stay silent.
+// The plan BuildPipeline instantiates on `kernel`: the concurrency context
+// (shard count, configured lookahead, cost model) is read off the kernel,
+// and under distinct_nodes stage i gets the node id AddNode will return for
+// it, kernel.node_count() + i. Arms the ASC010-ASC012 shard-safety rules;
+// without a kernel they stay silent.
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options,
                                   const Kernel& kernel);
 
-// The as-built topology of a finished pipeline: real UIDs, same shape.
+// The position of a plan stage from its placeholder UID.
+inline size_t PlanPosition(const Uid& placeholder) {
+  return static_cast<size_t>(placeholder.lo() - 1);
+}
+
+// The plan a finished pipeline was built from, with its real UIDs, nodes
+// and kernel context. A lint-rejected handle built nothing: its description
+// has the discipline's flavor and recovery knobs but no stage.
 verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
                                       const PipelineOptions& options);
 
-// Lints the plan without constructing anything. This is what the
-// lint_before_activate gate in BuildPipeline runs.
+// Lints the plan without constructing anything.
 verify::LintReport LintPipelinePlan(size_t stage_count,
                                     const PipelineOptions& options);
 

@@ -61,9 +61,9 @@ struct StageSpec {
   size_t lowat = 0;  // release them below this (0 = derived at runtime)
 
   // Node placement, for the concurrency lints (ASC010-ASC012). `node` is the
-  // kernel node the stage lives on — for a *plan* it is the relative id the
-  // builders will mint (distinct_nodes: position + 1), which determines the
-  // same shard arithmetic modulo the shard count. `shard_hint` mirrors
+  // kernel node the stage lives on — for a *plan* it is the id AddNode will
+  // return when the builder places the stage (distinct_nodes: the kernel's
+  // node count + position). `shard_hint` mirrors
   // Kernel::AddNode's hint: >= 0 pins the node to `hint % shards` instead of
   // the default `node % shards` round robin.
   NodeId node = 0;
@@ -92,9 +92,9 @@ struct EdgeSpec {
 };
 
 // The recovery knobs the linter cross-checks (mirrors the effective_* gating
-// from the filter options: when `enabled` is false the builders zero every
-// other knob, so a spec carrying nonzero knobs with enabled=false records a
-// configuration the runtime would silently ignore).
+// from the filter options: when `enabled` is false the pipeline plan zeroes
+// every other knob, so a spec carrying nonzero knobs with enabled=false
+// records a configuration the runtime would silently ignore).
 struct RecoveryKnobs {
   bool enabled = false;
   Tick deadline = 0;
