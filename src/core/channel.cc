@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/eden/kernel.h"
-#include "src/eden/metrics.h"
 
 namespace eden {
 

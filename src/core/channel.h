@@ -28,6 +28,7 @@
 
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
+#include "src/eden/metrics.h"
 #include "src/eden/sync.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -89,11 +90,11 @@ class ChannelTable {
 // acceptor adds withheld Push replies and its positions.
 class BandedChannel {
  public:
-  // `component` names the queue in depth and flow reports ("server",
-  // "acceptor"). `Options` is either end's channel options: the queue reads
+  // `component` names the queue in depth and flow reports (kServer,
+  // kAcceptor). `Options` is either end's channel options: the queue reads
   // capacity, hiwat, lowat and sequenced.
   template <typename Options>
-  BandedChannel(Eject& owner, std::string_view component,
+  BandedChannel(Eject& owner, QueueComponent component,
                 const Options& options)
       : limits(FlowLimits::Resolve(
             options.hiwat != 0 ? options.hiwat : options.capacity,
@@ -168,7 +169,7 @@ class BandedChannel {
   }
 
   Eject& owner_;
-  std::string_view component_;
+  QueueComponent component_;
   std::deque<Value> data_;     // band 0
   std::deque<Value> control_;  // band 1: served first
 };

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/eden/metrics.h"
+
 namespace eden {
 
 PassiveBuffer::PassiveBuffer(Kernel& kernel, Options options)
@@ -45,7 +47,7 @@ Task<void> PassiveBuffer::BandLoop(Band band) {
     co_await server_.Write(kChanOut, std::move(taken->item), band);
     // The pipe's store is the sum of both faces.
     kernel().ObserveQueueDepth(
-        "pipe", uid(),
+        QueueComponent::kPipe, uid(),
         acceptor_.buffered(kChanIn) + server_.buffered(kChanOut));
   }
   if (++loops_done_ == 2) {

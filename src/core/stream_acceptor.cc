@@ -84,12 +84,12 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   }
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (count > skip) {
-      mon->OnAccepted(owner_.uid(), owner_.kernel().now(), count - skip,
-                      BandIndex(band));
+      mon->OnAccepted(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+                      count - skip, BandIndex(band));
     }
     if (ch->sequenced) {
-      mon->OnSequence(owner_.uid(), owner_.kernel().now(), "acceptor.next",
-                      ch->next_seq);
+      mon->OnSequence(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+                      "acceptor.next", ch->next_seq);
     }
   }
   ch->ReportDepth();
@@ -148,7 +148,7 @@ Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
   Taken taken{ch->Take(from), from};
   ch->consumed++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1,
+    mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1,
                     BandIndex(taken.band));
   }
   ch->ReportDepth();
@@ -183,7 +183,7 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   // the saved consumed mark) stay truthful.
   ch->consumed--;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1,
+    mon->OnPutBack(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1,
                    BandIndex(ch->BandOf(band)));
   }
   ch->PutBack(std::move(item), band);

@@ -112,7 +112,7 @@ class StreamAcceptor {
   // `ready` for them.
   struct InChannel : BandedChannel {
     InChannel(Eject& owner, const ChannelOptions& options)
-        : BandedChannel(owner, "acceptor", options) {}
+        : BandedChannel(owner, QueueComponent::kAcceptor, options) {}
     bool ended = false;
     std::deque<ReplyHandle> withheld;  // flow-control: unanswered Push replies
     uint64_t next_seq = 0;   // position of the first item not yet accepted

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 
 namespace eden {
@@ -54,7 +55,7 @@ void StreamReader::Ingest(InvokeResult result) {
       // Fresh items only: the duplicate prefix was counted when it first
       // arrived, so the pull edge accounts exactly once per item.
       if (items->size() > dropped) {
-        mon->OnPulled(owner_.uid(), source_, owner_.kernel().now(),
+        mon->OnPulled(owner_.kernel().shard_index(), owner_.uid(), source_, owner_.kernel().now(),
                       items->size() - dropped);
       }
     }
@@ -65,7 +66,7 @@ void StreamReader::Ingest(InvokeResult result) {
       status_ = Status(StatusCode::kEndOfStream);
     }
   }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
 }
 
 Task<void> StreamReader::FetchOnce() {
@@ -138,9 +139,9 @@ Task<std::optional<Value>> StreamReader::Next() {
   buffer_.pop_front();
   items_read_++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1);
+    mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1);
   }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {
     // Only the lookahead fetch process ever waits on room_; in inline mode
     // there is no such process and nothing to wake.
@@ -175,10 +176,11 @@ Task<ValueList> StreamReader::NextBatch() {
   items_read_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
-      mon->OnConsumed(owner_.uid(), owner_.kernel().now(), items.size());
+      mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+                      items.size());
     }
   }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {
     room_.NotifyAll();
   }

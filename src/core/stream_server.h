@@ -125,7 +125,7 @@ class StreamServer {
   // its `ready` for space.
   struct OutChannel : BandedChannel {
     OutChannel(Eject& owner, const ChannelOptions& options)
-        : BandedChannel(owner, "server", options) {}
+        : BandedChannel(owner, QueueComponent::kServer, options) {}
     bool closed = false;
     // Hysteresis latch: set when the buffer reaches hiwat, cleared only
     // once it drains below lowat — a blocked producer is woken once per

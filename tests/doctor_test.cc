@@ -113,7 +113,7 @@ TEST(DoctorTest, AttributesBottleneckToLargestCriticalSelfTime) {
 
   MetricsRegistry metrics;
   metrics.Label(b, "B");
-  metrics.RecordQueueDepth("server", b, 64);
+  metrics.RecordQueueDepth(QueueComponent::kServer, b, 64);
 
   Diagnosis d = PipelineDoctor(recorder, &metrics).Diagnose();
   ASSERT_EQ(d.critical_depth, 3u);

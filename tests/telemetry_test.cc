@@ -234,11 +234,11 @@ TEST(TelemetrySamplerTest, QueueSeriesCarriesDepthForwardThroughQuietWindows) {
   Uid owner(9, 2);
   sampler.Label(owner, "pipe0");
 
-  sampler.OnQueueDepth("pipe", owner, 10, 3);
-  sampler.OnQueueDepth("pipe", owner, 20, 5);
-  sampler.OnFlowEvent("pipe", owner, 25, FlowEvent::kHiwatHit);
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 10, 3);
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 20, 5);
+  sampler.OnFlowEvent(QueueComponent::kPipe, owner, 25, FlowEvent::kHiwatHit);
   // Nothing happens in windows 1 and 2; t=350 closes 0..2.
-  sampler.OnQueueDepth("pipe", owner, 350, 0);
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 350, 0);
 
   std::vector<TelemetrySampler::QueueView> queues = sampler.QueueSeries();
   ASSERT_EQ(queues.size(), 1u);
@@ -270,9 +270,9 @@ TEST(TelemetrySamplerTest, WindowValueGrammar) {
 
   sampler.OnTraceEvent(Invoke(10, stage, 1));
   sampler.OnTraceEvent(Invoke(20, stage, 2));
-  sampler.OnQueueDepth("pipe", owner, 30, 6);
-  sampler.OnQueueDepth("pipe", owner, 40, 2);
-  sampler.OnQueueDepth("pipe", owner, 150, 1);  // closes window 0
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 30, 6);
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 40, 2);
+  sampler.OnQueueDepth(QueueComponent::kPipe, owner, 150, 1);  // closes window 0
 
   EXPECT_EQ(sampler.WindowValue("count:invoke"), std::optional<double>(2.0));
   // rate = delta * 1e6 / cadence = 2 * 1e6 / 100.
