@@ -1,28 +1,20 @@
-// Bench regression gate: diffs BENCH_*.json runs against checked-in
-// baselines.
+// Bench regression gate: diffs the counters of a BENCH_*.json run against
+// its checked-in baseline.
 //
-//   bench_compare [--threshold=F] [--counters-only] [--metric=NAME] \
-//                 BASELINE CURRENT
+//   bench_compare BASELINE CURRENT
 //
-// BASELINE and CURRENT are either two JSON files (compared directly) or two
-// directories (every BENCH_*.json present in *both* is compared; baselines
-// that never ran are reported but only count as regressions in file mode).
+// The repo's counters (inv_per_datum, msgs_per_datum, ...) are deterministic
+// identities from the paper, so any drift is a claim change that needs an
+// explicit re-baseline. Host times are never compared; perfbench owns them.
 // Exits 0 when nothing regressed, 1 on any regression, 2 on bad usage or
 // unreadable/unparseable input — input problems always name the offending
 // path on stderr, so a CI log never shows a bare nonzero exit.
-//
-// Host times are only comparable on one machine, so CI passes
-// --counters-only: the repo's counters (inv_per_datum, msgs_per_datum, ...)
-// are deterministic identities from the paper, and any drift is a claim
-// change that needs an explicit re-baseline.
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/eden/analysis.h"
 #include "src/eden/json.h"
@@ -64,87 +56,18 @@ bool LoadJson(const fs::path& path, eden::Value* out) {
   return true;
 }
 
-std::vector<std::string> BenchFiles(const fs::path& dir) {
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::string name = entry.path().filename().string();
-    if (entry.is_regular_file() && name.rfind("BENCH_", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".json") {
-      names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: bench_compare [--threshold=F] [--counters-only] "
-               "[--metric=NAME] BASELINE CURRENT\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  eden::BenchCompareOptions options;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--threshold=", 0) == 0) {
-      options.time_threshold = std::atof(arg.c_str() + 12);
-    } else if (arg == "--counters-only") {
-      options.counters_only = true;
-    } else if (arg.rfind("--metric=", 0) == 0) {
-      options.time_metric = arg.substr(9);
-    } else if (arg.rfind("--", 0) == 0) {
-      return Usage();
-    } else {
-      positional.push_back(std::move(arg));
-    }
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: bench_compare BASELINE CURRENT\n");
+    return 2;
   }
-  if (positional.size() != 2) {
-    return Usage();
+  eden::Value base, cur;
+  if (!LoadJson(argv[1], &base) || !LoadJson(argv[2], &cur)) {
+    return 2;
   }
-  fs::path base_path = positional[0];
-  fs::path cur_path = positional[1];
-
-  size_t regressions = 0;
-  if (fs::is_directory(base_path) && fs::is_directory(cur_path)) {
-    std::vector<std::string> base_files = BenchFiles(base_path);
-    std::vector<std::string> cur_files = BenchFiles(cur_path);
-    size_t compared = 0;
-    for (const std::string& name : base_files) {
-      if (std::find(cur_files.begin(), cur_files.end(), name) ==
-          cur_files.end()) {
-        std::printf("%s: no current run (skipped)\n", name.c_str());
-        continue;
-      }
-      eden::Value base, cur;
-      if (!LoadJson(base_path / name, &base) ||
-          !LoadJson(cur_path / name, &cur)) {
-        return 2;
-      }
-      eden::BenchComparison cmp = eden::CompareBenchRuns(base, cur, options);
-      std::printf("== %s\n%s", name.c_str(), cmp.ToString().c_str());
-      regressions += cmp.regressions;
-      compared++;
-    }
-    if (compared == 0) {
-      std::fprintf(stderr,
-                   "bench_compare: no BENCH_*.json pairs to compare between "
-                   "%s and %s\n",
-                   base_path.c_str(), cur_path.c_str());
-      return 2;
-    }
-  } else {
-    eden::Value base, cur;
-    if (!LoadJson(base_path, &base) || !LoadJson(cur_path, &cur)) {
-      return 2;
-    }
-    eden::BenchComparison cmp = eden::CompareBenchRuns(base, cur, options);
-    std::printf("%s", cmp.ToString().c_str());
-    regressions = cmp.regressions;
-  }
-  return regressions == 0 ? 0 : 1;
+  eden::BenchComparison cmp = eden::CompareBenchRuns(base, cur);
+  std::printf("%s", cmp.ToString().c_str());
+  return cmp.ok() ? 0 : 1;
 }

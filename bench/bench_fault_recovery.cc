@@ -109,13 +109,13 @@ void BM_FaultRecovery(benchmark::State& state) {
   bool output_ok = faults ? measured.output == clean.output
                           : measured.output.size() == static_cast<size_t>(items);
   state.counters["output_ok"] = output_ok ? 1 : 0;
-  state.counters["timeouts"] = static_cast<double>(measured.timeouts);
-  state.counters["retries"] = static_cast<double>(measured.retries);
-  state.counters["dropped"] = static_cast<double>(measured.messages_dropped);
+  state.counters["timeouts"] = static_cast<double>(measured.delta.timeouts);
+  state.counters["retries"] = static_cast<double>(measured.delta.retries);
+  state.counters["dropped"] = static_cast<double>(measured.delta.messages_dropped);
   state.counters["redelivered_dropped"] =
-      static_cast<double>(measured.redeliveries_dropped);
-  state.counters["recoveries"] = static_cast<double>(measured.recoveries);
-  state.counters["crashes"] = static_cast<double>(measured.crashes);
+      static_cast<double>(measured.delta.redeliveries_dropped);
+  state.counters["recoveries"] = static_cast<double>(measured.delta.recoveries);
+  state.counters["crashes"] = static_cast<double>(measured.delta.crashes);
   state.counters["virtual_us"] = static_cast<double>(measured.virtual_time);
 }
 BENCHMARK(BM_FaultRecovery)

@@ -16,10 +16,10 @@
 //
 // The conventional sweep additionally runs under a TelemetrySampler with a
 // `backlog count:hiwat >= 1` SLO rule: peak_rate_* / topk_* columns report
-// the peak-window invocation rate and the sketch's hottest stage (excluded
-// from the bench_compare counter gate by prefix), and two sidecars land per
-// hiwat — TELEMETRY_overload_h<hiwat>.json (the windowed series; the hiwat
-// crossing window is visible in the `hiwat` counter ring) and
+// the peak-window invocation rate and the sketch's hottest stage (virtual-
+// time facts, pinned by the counter gate like the rest), and two sidecars
+// land per hiwat — TELEMETRY_overload_h<hiwat>.json (the windowed series;
+// the hiwat crossing window is visible in the `hiwat` counter ring) and
 // TELEMETRY_overload_tracks_h<hiwat>.json (Chrome trace with Perfetto
 // counter tracks riding next to the spans).
 #include <fstream>
@@ -118,9 +118,8 @@ void BM_OverloadConventional(benchmark::State& state) {
   state.counters["queue_bounded"] = queue_hw <= hiwat ? 1 : 0;
   state.counters["virtual_us_per_datum"] =
       static_cast<double>(last.virtual_time) / static_cast<double>(items);
-  // Telemetry columns: peak-window rate and heavy hitters (peak_rate_* /
-  // topk_* are excluded from the counter gate; slo_fired is deterministic
-  // and gated). The doctor's time axis for this data lives in the sidecars.
+  // Telemetry columns: peak-window rate, heavy hitters and SLO firings. The
+  // doctor's time axis for this data lives in the sidecars.
   TelemetryVerdict tv = DiagnoseTelemetry(telemetry);
   state.counters["peak_rate_invoke"] = tv.valid ? tv.peak_rate : 0;
   state.counters["peak_rate_window"] =

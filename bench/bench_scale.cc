@@ -1,46 +1,26 @@
 // Experiment SCALE — shard-count sweep over a wide multi-node topology.
 //
-// The sharded kernel's pitch (DESIGN.md "Sharded kernel") is that inter-node
-// invocation latency is free lookahead: partition nodes across workers and
-// conservative windows keep per-seed output byte-identical while the wall
-// clock drops. This bench measures exactly that claim: the same workload —
-// `pipelines` independent read-only chains, every Eject on its own node —
-// run at 1/2/4/8 shards.
+// The sharded kernel's contract (DESIGN.md "Sharded kernel") is that the
+// shard count is unobservable: partition nodes across workers and
+// conservative windows keep per-seed output byte-identical. This bench pins
+// that contract on one workload — 64 independent read-only chains, every
+// Eject on its own node — run at 1/2/4/8 shards. Every counter (ejects,
+// events, inv_per_datum, virtual_us_per_datum, cross_shard_sends and the
+// audit_* columns) is deterministic and pinned by the bench/baselines gate.
+// Wall-clock scaling belongs to perfbench's wide_sharded workload.
 //
-// Counters split into two families:
-//   - Deterministic identities (ejects, events, inv_per_datum,
-//     virtual_us_per_datum): shard-count-invariant by the determinism
-//     contract, compared strictly by bench_compare --counters-only.
-//   - Wall-clock rates (*_per_second), the profiler-derived wall_*
-//     efficiency columns, and the telemetry-derived peak_rate_* / topk_*
-//     columns: advisory facts next to the virtual ones, excluded from the
-//     counter gate (IsStandardBenchField). Speedup at 8 shards is the
-//     events_per_second ratio to the 1-shard row — meaningful only on a
-//     multi-core host; single-core CI runs still check the identities.
-//
-// Each row runs under a ShardProfiler and reports the parallel verdict
-// (wall_speedup / wall_efficiency / wall_serial_fraction, from
-// DiagnoseParallel); the per-shard wall-clock timeline is written to
-// PROFILE_scale_p<pipelines>_s<shards>.json (Perfetto JSON, loadable in
-// ui.perfetto.dev next to the virtual-time trace export).
-//
-// The pipelines:16384 rows build a ~100k-Eject topology (16384 chains of 6
-// Ejects); CI smokes the pipelines:64 rows only (see ci.yml), so the
-// checked-in baseline carries just those.
 // The partitioned:1 rows re-run the same workload with every chain pinned to
 // one shard (PipelineOptions::partition_shard, the fix ASC011 points at):
 // cross_shard_sends collapses to zero while every identity column — and the
 // determinism certificate — stays exactly the sweep's. Each row runs under a
 // ShardRaceAnalyzer; the audit_* columns carry its event count and violation
-// count (certificates, excluded from the counter gate), and the benchmark
-// itself asserts the merged digest is identical across all shard counts and
-// both placements of one workload, failing the row on any mismatch.
-#include <chrono>
+// count, and the benchmark itself asserts the merged digest is identical
+// across all shard counts and both placements, failing the row on any
+// mismatch or violation.
 #include <map>
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/eden/trace_export.h"
 #include "src/eden/verify/shard_audit.h"
 
 namespace eden {
@@ -53,25 +33,16 @@ struct ScaleResult {
   Tick virtual_time = 0;
   size_t ejects = 0;
   size_t items_out = 0;
-  double run_seconds = 0;  // kernel Run() only; build time excluded
+  verify::RunDigest digest;
 };
 
 ScaleResult RunScaleSweep(int shards, int pipelines, int items, size_t depth,
-                          bool partitioned, ShardProfiler* profiler,
-                          TelemetrySampler* telemetry,
-                          verify::RunDigest* digest_out) {
+                          bool partitioned) {
   KernelOptions kernel_options;
   kernel_options.shards = shards;
   Kernel kernel(kernel_options);
   verify::ShardRaceAnalyzer auditor;
   kernel.set_auditor(&auditor);
-  if (profiler != nullptr) {
-    kernel.set_profiler(profiler);
-  }
-  if (telemetry != nullptr) {
-    telemetry->Clear();
-    kernel.set_telemetry(telemetry);
-  }
   PipelineOptions options;
   options.discipline = Discipline::kReadOnly;
   options.distinct_nodes = true;
@@ -89,11 +60,9 @@ ScaleResult RunScaleSweep(int shards, int pipelines, int items, size_t depth,
                       chain, options));
   }
   Stats before = kernel.stats();
-  auto wall_start = std::chrono::steady_clock::now();
   // Independent chains all drain to quiescence; no predicate scan over
   // thousands of handles per event.
   kernel.Run();
-  auto wall_end = std::chrono::steady_clock::now();
 
   ScaleResult result;
   Stats delta = kernel.stats() - before;
@@ -107,11 +76,7 @@ ScaleResult RunScaleSweep(int shards, int pipelines, int items, size_t depth,
   for (const PipelineHandle& handle : handles) {
     result.items_out += handle.output().size();
   }
-  result.run_seconds =
-      std::chrono::duration<double>(wall_end - wall_start).count();
-  if (digest_out != nullptr) {
-    *digest_out = auditor.Digest();
-  }
+  result.digest = auditor.Digest();
   return result;
 }
 
@@ -122,20 +87,15 @@ void BM_ScaleShardSweep(benchmark::State& state) {
   const int items = 4;
   const size_t depth = 4;
   ScaleResult last{};
-  double run_seconds = 0;
-  ShardProfiler profiler;
-  TelemetrySampler telemetry;
-  verify::RunDigest digest;
   for (auto _ : state) {
-    last = RunScaleSweep(shards, pipelines, items, depth, partitioned,
-                         &profiler, &telemetry, &digest);
-    run_seconds += last.run_seconds;
+    last = RunScaleSweep(shards, pipelines, items, depth, partitioned);
     benchmark::DoNotOptimize(last.items_out);
   }
   // The dual-run comparison, in-bench: one workload (keyed by `pipelines`
   // alone — neither the shard count nor the placement is allowed to matter)
   // must produce the same certificate on every row. Benchmarks run
   // sequentially, so a plain static map across rows is safe.
+  const verify::RunDigest& digest = last.digest;
   static std::map<int, verify::RunDigest> expected_by_workload;
   auto it = expected_by_workload.emplace(pipelines, digest).first;
   std::string mismatch = verify::RunDigest::Compare(it->second, digest);
@@ -159,48 +119,11 @@ void BM_ScaleShardSweep(benchmark::State& state) {
       static_cast<double>(last.virtual_time) /
       static_cast<double>(last.items_out);
   state.counters["cross_shard_sends"] = static_cast<double>(last.cross_shard_sends);
-  // Determinism-audit columns (audit_ prefix keeps them out of the counter
-  // gate; the digest equality above is the real assertion).
   state.counters["audit_events"] = static_cast<double>(digest.events);
   state.counters["audit_violations"] = static_cast<double>(digest.violations);
-  // Wall-clock rates (excluded from the counter gate by the _per_second
-  // suffix): the speedup claim reads down this column.
-  double total_events =
-      static_cast<double>(last.events) * static_cast<double>(state.iterations());
-  state.counters["events_per_second"] =
-      run_seconds > 0 ? total_events / run_seconds : 0;
-  state.counters["invocations_per_second"] =
-      run_seconds > 0 ? static_cast<double>(last.invocations) *
-                            static_cast<double>(state.iterations()) / run_seconds
-                      : 0;
-  // Profiler-derived efficiency columns (wall_* prefix keeps them out of the
-  // counter gate too). A 1-shard row has no parallel windows: identity values.
-  ParallelVerdict verdict = DiagnoseParallel(profiler);
-  state.counters["wall_speedup"] = verdict.valid ? verdict.speedup : 1.0;
-  state.counters["wall_efficiency"] = verdict.valid ? verdict.efficiency : 1.0;
-  state.counters["wall_serial_fraction"] =
-      verdict.valid ? verdict.serial_fraction : 1.0;
-  state.counters["wall_imbalance_pct"] =
-      verdict.valid ? verdict.imbalance_pct : 0.0;
-  // Telemetry columns (peak_rate_* / topk_* prefixes keep them out of the
-  // counter gate): the peak-window invocation rate on the virtual-time axis
-  // and the Space-Saving sketch's hottest stage. Shard-count-invariant by
-  // the merged-observation-stream contract, but advisory, not gated.
-  TelemetryVerdict tv = DiagnoseTelemetry(telemetry);
-  state.counters["peak_rate_invoke"] = tv.valid ? tv.peak_rate : 0.0;
-  state.counters["peak_rate_window"] =
-      tv.valid ? static_cast<double>(tv.peak_window) : -1.0;
-  state.counters["topk_hot_count"] = static_cast<double>(tv.hot_count);
-  state.counters["topk_hot_error"] = static_cast<double>(tv.hot_error);
-  // The per-shard wall timeline for this row, for ui.perfetto.dev.
-  if (!partitioned) {
-    ShardProfileExporter(profiler).WriteFile("PROFILE_scale_p" +
-                                             std::to_string(pipelines) + "_s" +
-                                             std::to_string(shards) + ".json");
-  }
 }
 BENCHMARK(BM_ScaleShardSweep)
-    ->ArgsProduct({{64, 16384}, {1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{64}, {1, 2, 4, 8}, {0, 1}})
     ->ArgNames({"pipelines", "shards", "partitioned"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -66,9 +66,6 @@ struct PipelineInstruments {
   InvariantMonitor* monitor = nullptr; // online invariant checking
   ShardProfiler* profiler = nullptr;   // wall-clock shard phase timings
   TelemetrySampler* telemetry = nullptr;  // windowed virtual-time series
-  // Run the PipelineDoctor over `trace` (+ `metrics`) after the run and
-  // attach the Diagnosis to the stats. Requires `trace`.
-  bool diagnose = false;
   std::function<void(Kernel&, PipelineHandle&)> on_built;
 };
 
@@ -79,38 +76,10 @@ struct PipelineRunStats {
   size_t ejects = 0;
   size_t passive_buffers = 0;
   Tick first_item_at = -1;
-  // Failure-handling counters, lifted out of `delta` so fault benchmarks
-  // need not reach into Kernel::stats() fields by name.
-  uint64_t timeouts = 0;
-  uint64_t retries = 0;
-  uint64_t redeliveries = 0;
-  uint64_t recoveries = 0;
-  uint64_t redeliveries_dropped = 0;
-  uint64_t messages_dropped = 0;
-  uint64_t crashes = 0;
   // The collected sink output (byte-identity checks across runs).
   ValueList output;
   // When an InvariantMonitor was installed: its end-of-run Check() count.
   uint64_t invariant_violations = 0;
-  // When instruments.diagnose was set: the doctor's report and verdict.
-  Value diagnosis;
-  std::string verdict;
-
-  // {stats: {...}, virtual_time, items_out, ejects, ...} for JSON dumps.
-  Value ToValue() const {
-    Value v;
-    v.Set("stats", delta.ToValue());
-    v.Set("virtual_time", Value(static_cast<int64_t>(virtual_time)));
-    v.Set("items_out", Value(static_cast<uint64_t>(items_out)));
-    v.Set("ejects", Value(static_cast<uint64_t>(ejects)));
-    v.Set("passive_buffers", Value(static_cast<uint64_t>(passive_buffers)));
-    v.Set("first_item_at", Value(static_cast<int64_t>(first_item_at)));
-    v.Set("invariant_violations", Value(invariant_violations));
-    if (!diagnosis.is_nil()) {
-      v.Set("diagnosis", diagnosis);
-    }
-    return v;
-  }
 };
 
 // Builds and runs one pipeline to completion under the given instruments,
@@ -168,24 +137,9 @@ inline PipelineRunStats RunPipelineMeasured(const KernelOptions& kernel_options,
   result.ejects = handle.eject_count();
   result.passive_buffers = handle.passive_buffer_count;
   result.first_item_at = handle.first_item_at();
-  result.timeouts = result.delta.timeouts;
-  result.retries = result.delta.retries;
-  result.redeliveries = result.delta.redeliveries;
-  result.recoveries = result.delta.recoveries;
-  result.redeliveries_dropped = result.delta.redeliveries_dropped;
-  result.messages_dropped = result.delta.messages_dropped;
-  result.crashes = result.delta.crashes;
   result.output = handle.output();
   if (instruments.monitor != nullptr) {
     result.invariant_violations = instruments.monitor->Check().size();
-  }
-  if (instruments.diagnose && instruments.trace != nullptr) {
-    Diagnosis diagnosis =
-        PipelineDoctor(*instruments.trace, instruments.metrics,
-                       instruments.profiler, instruments.telemetry)
-            .Diagnose();
-    result.verdict = diagnosis.verdict;
-    result.diagnosis = diagnosis.ToValue();
   }
   return result;
 }

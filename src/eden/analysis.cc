@@ -819,7 +819,13 @@ Value Diagnosis::ToValue() const {
 
 namespace {
 
-// Fields of a google-benchmark entry that are not user counters.
+// Relative change tolerated in a counter. Ours are deterministic, so any
+// real change exceeds this.
+constexpr double kCounterTolerance = 0.001;
+
+// Fields of a google-benchmark entry that are not user counters, and
+// *_per_second rates, which are wall time divided by work: host-speed facts,
+// not deterministic identities.
 bool IsStandardBenchField(const std::string& key) {
   static const std::set<std::string> kStandard = {
       "name",       "run_name",         "run_type",
@@ -827,45 +833,12 @@ bool IsStandardBenchField(const std::string& key) {
       "repetitions", "repetition_index", "threads",
       "iterations", "real_time",        "cpu_time",
       "time_unit",  "aggregate_name",   "aggregate_unit",
-      // Rate counters are wall-time divided by work: host-speed facts, not
-      // deterministic identities. The time comparison already covers them.
-      "items_per_second", "bytes_per_second",
   };
-  if (kStandard.count(key) > 0) {
-    return true;
-  }
-  // Any user counter named *_per_second is likewise a wall-clock rate
-  // (bench_scale reports events_per_second per shard count) and must not be
-  // treated as a deterministic identity by --counters-only comparisons.
   static const std::string kRateSuffix = "_per_second";
-  if (key.size() > kRateSuffix.size() &&
-      key.compare(key.size() - kRateSuffix.size(), kRateSuffix.size(),
-                  kRateSuffix) == 0) {
-    return true;
-  }
-  // peak_rate_* / topk_* columns (bench_scale and bench_overload's
-  // telemetry-derived peak-window rates and heavy-hitter counts) are
-  // diagnostic observability facts, not §4 cost identities; they move when
-  // sampler cadence or sketch capacity defaults change, so the counter gate
-  // treats them as advisory rather than pinned.
-  static const std::string kPeakRatePrefix = "peak_rate_";
-  static const std::string kTopkPrefix = "topk_";
-  if (key.compare(0, kPeakRatePrefix.size(), kPeakRatePrefix) == 0 ||
-      key.compare(0, kTopkPrefix.size(), kTopkPrefix) == 0) {
-    return true;
-  }
-  // wall_* counters (bench_scale's profiler-derived speedup / efficiency /
-  // serial-fraction columns) are host-speed facts too.
-  static const std::string kWallPrefix = "wall_";
-  if (key.compare(0, kWallPrefix.size(), kWallPrefix) == 0) {
-    return true;
-  }
-  // audit_* columns (bench_scale's determinism-audit event counts and digest
-  // words) are certificates, not §4 cost identities: the digest is already
-  // asserted for exact cross-shard equality by the benchmark itself, and a
-  // 64-bit digest word does not survive the gate's double round-trip.
-  static const std::string kAuditPrefix = "audit_";
-  return key.compare(0, kAuditPrefix.size(), kAuditPrefix) == 0;
+  return kStandard.count(key) > 0 ||
+         (key.size() > kRateSuffix.size() &&
+          key.compare(key.size() - kRateSuffix.size(), kRateSuffix.size(),
+                      kRateSuffix) == 0);
 }
 
 std::map<std::string, const Value*> BenchmarksByName(const Value& doc) {
@@ -891,8 +864,7 @@ bool RelativeChangeExceeds(double base, double current, double threshold) {
 
 }  // namespace
 
-BenchComparison CompareBenchRuns(const Value& baseline, const Value& current,
-                                 const BenchCompareOptions& options) {
+BenchComparison CompareBenchRuns(const Value& baseline, const Value& current) {
   BenchComparison cmp;
   std::map<std::string, const Value*> base = BenchmarksByName(baseline);
   std::map<std::string, const Value*> cur = BenchmarksByName(current);
@@ -908,32 +880,23 @@ BenchComparison CompareBenchRuns(const Value& baseline, const Value& current,
       continue;
     }
     const Value& cur_bench = *it->second;
-    row.base_time = NumberOr(base_bench->Field(options.time_metric), 0);
-    row.current_time = NumberOr(cur_bench.Field(options.time_metric), 0);
-    if (!options.counters_only && row.base_time > 0) {
-      row.ratio = row.current_time / row.base_time;
-      row.time_regressed = row.ratio > 1.0 + options.time_threshold;
-      row.time_improved = row.ratio < 1.0 - options.time_threshold;
-      if (row.time_regressed) {
-        cmp.regressions++;
-      }
-    }
     if (const ValueMap* fields = base_bench->AsMap()) {
       for (const auto& [key, base_value] : *fields) {
         if (IsStandardBenchField(key) || !base_value.AsReal().has_value()) {
           continue;
         }
-        if (!cur_bench.HasField(key)) {
-          continue;  // counter set changed shape; name-level diff is enough
-        }
         double b = NumberOr(base_value, 0);
-        double c = NumberOr(cur_bench.Field(key), 0);
-        if (RelativeChangeExceeds(b, c, options.counter_threshold)) {
-          char buf[160];
+        char buf[160];
+        if (!cur_bench.HasField(key)) {
+          std::snprintf(buf, sizeof(buf), "%s: %g -> missing", key.c_str(), b);
+        } else if (double c = NumberOr(cur_bench.Field(key), 0);
+                   RelativeChangeExceeds(b, c, kCounterTolerance)) {
           std::snprintf(buf, sizeof(buf), "%s: %g -> %g", key.c_str(), b, c);
-          row.counter_changes.push_back(buf);
-          cmp.regressions++;
+        } else {
+          continue;
         }
+        row.counter_changes.push_back(buf);
+        cmp.regressions++;
       }
     }
     cmp.rows.push_back(std::move(row));
@@ -943,7 +906,6 @@ BenchComparison CompareBenchRuns(const Value& baseline, const Value& current,
       BenchDelta row;
       row.name = name;
       row.new_in_current = true;
-      row.current_time = NumberOr(bench->Field(options.time_metric), 0);
       cmp.rows.push_back(std::move(row));
     }
   }
@@ -952,23 +914,18 @@ BenchComparison CompareBenchRuns(const Value& baseline, const Value& current,
 
 std::string BenchComparison::ToString() const {
   std::ostringstream out;
-  out << "benchmark                                baseline     current   "
-         "ratio  status\n";
+  out << "benchmark                                          status\n";
   for (const BenchDelta& row : rows) {
     const char* status = "ok";
     if (row.missing_in_current) {
       status = "MISSING";
     } else if (row.new_in_current) {
       status = "new";
-    } else if (row.time_regressed || !row.counter_changes.empty()) {
+    } else if (!row.counter_changes.empty()) {
       status = "REGRESSED";
-    } else if (row.time_improved) {
-      status = "improved";
     }
     char line[200];
-    std::snprintf(line, sizeof(line), "%-38s %10.1f  %10.1f  %6.2f  %s\n",
-                  row.name.c_str(), row.base_time, row.current_time, row.ratio,
-                  status);
+    std::snprintf(line, sizeof(line), "%-50s %s\n", row.name.c_str(), status);
     out << line;
     for (const std::string& change : row.counter_changes) {
       out << "    counter " << change << "\n";

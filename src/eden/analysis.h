@@ -20,13 +20,12 @@
 // bottleneck ranking: the stage with the largest critical self time is where
 // ticks actually went.
 //
-// CompareBenchRuns diffs two google-benchmark JSON documents (the
-// EDEN_BENCH_MAIN sidecar format) with a noise threshold, separating *time*
-// metrics (noisy, machine-dependent; generous threshold) from *counters*
-// (this repo's are deterministic paper identities — inv_per_datum and
-// friends — so any change is a claim change and is flagged at a tight
-// threshold). bench/bench_compare.cc wraps it in a CLI that exits nonzero on
-// regression; tests drive it directly on synthetic documents.
+// CompareBenchRuns diffs the counters of two google-benchmark JSON documents
+// (the EDEN_BENCH_MAIN sidecar format). This repo's counters are
+// deterministic paper identities — inv_per_datum and friends — so any change
+// is a claim change; host times are never compared (perfbench owns them).
+// bench/bench_compare.cc wraps it in a CLI that exits nonzero on regression;
+// tests drive it directly on synthetic documents.
 #ifndef SRC_EDEN_ANALYSIS_H_
 #define SRC_EDEN_ANALYSIS_H_
 
@@ -286,28 +285,11 @@ class PipelineDoctor {
 
 // ---------------------------------------------------------- bench comparison
 
-struct BenchCompareOptions {
-  // Relative change in the time metric tolerated as noise.
-  double time_threshold = 0.30;
-  // Relative change tolerated in counters. Ours are deterministic, so any
-  // real change exceeds this.
-  double counter_threshold = 0.001;
-  // Which google-benchmark time field to compare.
-  std::string time_metric = "cpu_time";
-  // Ignore time entirely (for cross-machine CI, where only the
-  // deterministic counters are comparable).
-  bool counters_only = false;
-};
-
 struct BenchDelta {
   std::string name;
-  double base_time = 0;
-  double current_time = 0;
-  double ratio = 1.0;  // current / base
-  bool time_regressed = false;
-  bool time_improved = false;
-  // "inv_per_datum: 4 -> 8" — any counter change beyond the threshold; a
-  // changed identity needs an explicit re-baseline either way.
+  // "inv_per_datum: 4 -> 8" for a counter that moved, "inv_per_datum: 4 ->
+  // missing" for one the current row no longer reports. A changed identity
+  // needs an explicit re-baseline either way.
   std::vector<std::string> counter_changes;
   bool missing_in_current = false;  // benchmark disappeared
   bool new_in_current = false;      // no baseline yet (not a regression)
@@ -321,10 +303,12 @@ struct BenchComparison {
   std::string ToString() const;
 };
 
-// Compares two parsed BENCH_*.json documents ({"context": ..., "benchmarks":
-// [{"name", "cpu_time", <counters>...}, ...]}).
-BenchComparison CompareBenchRuns(const Value& baseline, const Value& current,
-                                 const BenchCompareOptions& options = {});
+// Compares the counters of two parsed BENCH_*.json documents ({"context":
+// ..., "benchmarks": [{"name", "cpu_time", <counters>...}, ...]}). Every
+// numeric field of a baseline row is a counter except Google Benchmark's
+// standard fields and *_per_second rates; each must be present in the
+// current row and within 0.1% of the baseline.
+BenchComparison CompareBenchRuns(const Value& baseline, const Value& current);
 
 }  // namespace eden
 
