@@ -90,7 +90,7 @@ Value BandedChannel::Take(Band band) {
   if (band == Band::kControl && !data_.empty()) {
     Report(FlowEvent::kBandOvertake);
   }
-  std::deque<Value>& queue = Queue(band);
+  Ring<Value>& queue = Queue(band);
   Value item = std::move(queue.front());
   queue.pop_front();
   return item;

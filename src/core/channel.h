@@ -18,7 +18,6 @@
 #define SRC_CORE_CHANNEL_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,6 +28,7 @@
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
 #include "src/eden/metrics.h"
+#include "src/eden/ring.h"
 #include "src/eden/sync.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -161,17 +161,17 @@ class BandedChannel {
   ServiceProc service;
 
  private:
-  std::deque<Value>& Queue(Band band) {
+  Ring<Value>& Queue(Band band) {
     return band == Band::kControl ? control_ : data_;
   }
-  const std::deque<Value>& Queue(Band band) const {
+  const Ring<Value>& Queue(Band band) const {
     return band == Band::kControl ? control_ : data_;
   }
 
   Eject& owner_;
   QueueComponent component_;
-  std::deque<Value> data_;     // band 0
-  std::deque<Value> control_;  // band 1: served first
+  Ring<Value> data_;     // band 0
+  Ring<Value> control_;  // band 1: served first
 };
 
 }  // namespace eden

@@ -22,10 +22,10 @@
 #ifndef SRC_CORE_RENDEZVOUS_H_
 #define SRC_CORE_RENDEZVOUS_H_
 
-#include <deque>
 #include <utility>
 
 #include "src/eden/eject.h"
+#include "src/eden/ring.h"
 
 namespace eden {
 
@@ -45,8 +45,8 @@ class CspChannel : public Eject {
   void HandleReceive(InvocationContext ctx);
   void HandleClose(InvocationContext ctx);
 
-  std::deque<std::pair<Value, ReplyHandle>> senders_;
-  std::deque<ReplyHandle> receivers_;
+  Ring<std::pair<Value, ReplyHandle>> senders_;
+  Ring<ReplyHandle> receivers_;
   bool closed_ = false;
   uint64_t exchanged_ = 0;
 };

@@ -21,7 +21,6 @@
 #ifndef SRC_CORE_STREAM_ACCEPTOR_H_
 #define SRC_CORE_STREAM_ACCEPTOR_H_
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +29,7 @@
 #include "src/core/channel.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
+#include "src/eden/ring.h"
 
 namespace eden {
 
@@ -114,7 +114,7 @@ class StreamAcceptor {
     InChannel(Eject& owner, const ChannelOptions& options)
         : BandedChannel(owner, QueueComponent::kAcceptor, options) {}
     bool ended = false;
-    std::deque<ReplyHandle> withheld;  // flow-control: unanswered Push replies
+    Ring<ReplyHandle> withheld;  // flow-control: unanswered Push replies
     uint64_t next_seq = 0;   // position of the first item not yet accepted
     uint64_t consumed = 0;   // positions the owner has taken via Next()
     uint64_t durable = 0;

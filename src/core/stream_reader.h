@@ -9,12 +9,12 @@
 #ifndef SRC_CORE_STREAM_READER_H_
 #define SRC_CORE_STREAM_READER_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
+#include "src/eden/ring.h"
 #include "src/eden/sync.h"
 
 namespace eden {
@@ -96,7 +96,7 @@ class StreamReader {
   Uid source_;
   Value channel_;
   Options options_;
-  std::deque<Value> buffer_;
+  Ring<Value> buffer_;
   bool ended_ = false;
   bool loop_started_ = false;
   bool fetch_in_flight_ = false;

@@ -13,7 +13,6 @@
 #ifndef SRC_CORE_STREAM_SERVER_H_
 #define SRC_CORE_STREAM_SERVER_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -22,6 +21,7 @@
 #include "src/core/channel.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
+#include "src/eden/ring.h"
 
 namespace eden {
 
@@ -132,10 +132,10 @@ class StreamServer {
     // drain cycle, not once per item.
     bool flow_blocked = false;
     Status abort_status;  // non-OK once the stream is aborted
-    std::deque<Parked> parked;
+    Ring<Parked> parked;
     // Sequenced channels: served-but-unacknowledged items occupy positions
     // [replay_base, next_seq) and are re-served on request.
-    std::deque<Value> replay;
+    Ring<Value> replay;
     uint64_t replay_base = 0;
     uint64_t next_seq = 0;  // position of the next fresh (unserved) item
   };

@@ -13,11 +13,11 @@
 #ifndef SRC_CORE_STREAM_WRITER_H_
 #define SRC_CORE_STREAM_WRITER_H_
 
-#include <deque>
 #include <utility>
 
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
+#include "src/eden/ring.h"
 
 namespace eden {
 
@@ -96,7 +96,7 @@ class StreamWriter {
   // Sequenced mode: unacknowledged items occupy positions
   // [replay_base_, replay_base_ + replay_.size()); cursor_ is the next
   // position to transmit.
-  std::deque<Value> replay_;
+  Ring<Value> replay_;
   uint64_t replay_base_ = 0;
   uint64_t cursor_ = 0;
   // Highest position ever transmitted (sequenced mode): rewound resends are

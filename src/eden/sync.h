@@ -12,11 +12,11 @@
 #define SRC_EDEN_SYNC_H_
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 
 #include "src/eden/eject.h"
 #include "src/eden/kernel.h"
+#include "src/eden/ring.h"
 #include "src/eden/task.h"
 
 namespace eden {
@@ -76,7 +76,7 @@ class CondVar {
   Kernel& kernel_;
   Eject* owner_;
   bool hook_blocking_ = true;  // cleared by Mutex for its internal condition
-  std::deque<std::coroutine_handle<>> waiters_;
+  Ring<std::coroutine_handle<>> waiters_;
 };
 
 // A virtual-time mutual-exclusion lock. The sequential DES makes plain data
@@ -203,7 +203,7 @@ class BoundedQueue {
  private:
   size_t capacity_;  // 0 = unbounded
   bool closed_ = false;
-  std::deque<T> items_;
+  Ring<T> items_;
   CondVar not_empty_;
   CondVar not_full_;
   Kernel& kernel_;

@@ -12,12 +12,12 @@
 #define SRC_FILTERS_TRANSFORMS_H_
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/transform.h"
+#include "src/eden/ring.h"
 
 namespace eden {
 
@@ -103,7 +103,7 @@ class TailTransform : public Transform {
 
  private:
   int64_t limit_;
-  std::deque<Value> window_;
+  Ring<Value> window_;
 };
 
 // Prefixes each line with its 1-based number.

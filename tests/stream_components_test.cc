@@ -3,6 +3,10 @@
 // equivalence, and counter correctness.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/core/endpoints.h"
 #include "src/core/passive_buffer.h"
 #include "src/core/stream.h"
@@ -129,6 +133,54 @@ TEST(StreamServerTest, AbortFailsParkedAndFutureTransfers) {
   InvokeResult later = kernel.InvokeAndRun(
       source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
   EXPECT_TRUE(later.status.is(StatusCode::kUnavailable));
+}
+
+// A StreamServer the test can destroy while Transfers are parked on it.
+class DroppableSource : public Eject {
+ public:
+  explicit DroppableSource(Kernel& kernel)
+      : Eject(kernel, "DroppableSource"), server(std::make_unique<StreamServer>(*this)) {
+    server->DeclareChannel(std::string(kChanOut));
+    server->InstallOps();
+  }
+
+  std::unique_ptr<StreamServer> server;
+};
+
+// Destroying a server destroys its parked reply handles front to back, so
+// the callers hear kCancelled in arrival order. Two requests are served
+// first and six more park after them, so the parked queue's front is no
+// longer where it started and the queue has grown since.
+TEST(StreamServerTest, TeardownCancelsParkedTransfersInArrivalOrder) {
+  Kernel kernel;
+  DroppableSource& source = kernel.CreateLocal<DroppableSource>();
+  std::vector<std::pair<int, StatusCode>> answers;
+  auto transfer = [&](int caller) {
+    kernel.ExternalInvoke(source.uid(), "Transfer",
+                          MakeTransferArgs(Value(std::string(kChanOut)), 1),
+                          [&answers, caller](InvokeResult r) {
+                            answers.emplace_back(caller, r.status.code());
+                          });
+  };
+  for (int caller = 0; caller < 3; ++caller) {
+    transfer(caller);
+  }
+  kernel.Run();
+  source.server->PutBack(kChanOut, Value(int64_t{0}));
+  source.server->PutBack(kChanOut, Value(int64_t{1}));
+  for (int caller = 3; caller < 8; ++caller) {
+    transfer(caller);
+  }
+  kernel.Run();
+  ASSERT_EQ(source.server->parked_requests(kChanOut), 6u);
+  source.server.reset();
+  kernel.Run();
+  std::vector<std::pair<int, StatusCode>> expected = {{0, StatusCode::kOk},
+                                                      {1, StatusCode::kOk}};
+  for (int caller = 2; caller < 8; ++caller) {
+    expected.emplace_back(caller, StatusCode::kCancelled);
+  }
+  EXPECT_EQ(answers, expected);
 }
 
 TEST(StreamServerTest, ZeroCapacityIsPureRendezvous) {
