@@ -103,11 +103,11 @@ void BandedChannel::PutBack(Value item, Band band) {
 }
 
 void BandedChannel::ReportDepth() const {
-  owner_.kernel().ObserveQueueDepth(component_, owner_.uid(), Depth());
+  owner_.kernel().ObserveQueueDepth(component_, owner_, Depth());
 }
 
 void BandedChannel::Report(FlowEvent event) const {
-  owner_.kernel().ObserveFlowEvent(component_, owner_.uid(), event);
+  owner_.kernel().ObserveFlowEvent(component_, owner_, event);
 }
 
 void BandedChannel::Save(Value& state) const {

@@ -47,7 +47,7 @@ Task<void> PassiveBuffer::BandLoop(Band band) {
     co_await server_.Write(kChanOut, std::move(taken->item), band);
     // The pipe's store is the sum of both faces.
     kernel().ObserveQueueDepth(
-        QueueComponent::kPipe, uid(),
+        QueueComponent::kPipe, *this,
         acceptor_.buffered(kChanIn) + server_.buffered(kChanOut));
   }
   if (++loops_done_ == 2) {

@@ -84,11 +84,11 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   }
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (count > skip) {
-      mon->OnAccepted(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnAccepted(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       count - skip, BandIndex(band));
     }
     if (ch->sequenced) {
-      mon->OnSequence(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       "acceptor.next", ch->next_seq);
     }
   }
@@ -148,8 +148,8 @@ Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
   Taken taken{ch->Take(from), from};
   ch->consumed++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1,
-                    BandIndex(taken.band));
+    mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                    1, BandIndex(taken.band));
   }
   ch->ReportDepth();
   ReleaseWithheld(*ch);
@@ -183,7 +183,7 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   // the saved consumed mark) stay truthful.
   ch->consumed--;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnPutBack(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1,
+    mon->OnPutBack(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(), 1,
                    BandIndex(ch->BandOf(band)));
   }
   ch->PutBack(std::move(item), band);

@@ -24,7 +24,12 @@ void StreamReader::Ingest(InvokeResult result) {
     ended_ = true;
     return;
   }
-  const ValueList* items = result.value.Field(kFieldItems).AsList();
+  // The reply is ours: its items move into the buffer, uncopied.
+  ValueList* items = nullptr;
+  if (ValueMap* fields = result.value.AsMap()) {
+    auto it = fields->find(std::string(kFieldItems));
+    items = it != fields->end() ? it->second.AsList() : nullptr;
+  }
   size_t skip = 0;
   if (options_.sequenced) {
     // The reply names the position of its first item. A reply behind our
@@ -48,15 +53,15 @@ void StreamReader::Ingest(InvokeResult result) {
       owner_.kernel().stats().redeliveries_dropped += dropped;
     }
     for (size_t i = dropped; i < items->size(); ++i) {
-      buffer_.push_back((*items)[i]);
+      buffer_.push_back(std::move((*items)[i]));
       next_seq_++;
     }
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
       // Fresh items only: the duplicate prefix was counted when it first
       // arrived, so the pull edge accounts exactly once per item.
       if (items->size() > dropped) {
-        mon->OnPulled(owner_.kernel().shard_index(), owner_.uid(), source_, owner_.kernel().now(),
-                      items->size() - dropped);
+        mon->OnPulled(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), source_,
+                      owner_.kernel().now(), items->size() - dropped);
       }
     }
   }
@@ -66,7 +71,7 @@ void StreamReader::Ingest(InvokeResult result) {
       status_ = Status(StatusCode::kEndOfStream);
     }
   }
-  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_, buffer_.size());
 }
 
 Task<void> StreamReader::FetchOnce() {
@@ -139,9 +144,10 @@ Task<std::optional<Value>> StreamReader::Next() {
   buffer_.pop_front();
   items_read_++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1);
+    mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                    1);
   }
-  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_, buffer_.size());
   if (options_.lookahead > 0) {
     // Only the lookahead fetch process ever waits on room_; in inline mode
     // there is no such process and nothing to wake.
@@ -176,11 +182,11 @@ Task<ValueList> StreamReader::NextBatch() {
   items_read_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
-      mon->OnConsumed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       items.size());
     }
   }
-  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_, buffer_.size());
   if (options_.lookahead > 0) {
     room_.NotifyAll();
   }

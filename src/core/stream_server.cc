@@ -76,7 +76,8 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
   owner_.kernel().CountLocalStep();
   ch->Append(std::move(item), band);
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1);
+    mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                    1);
   }
   ch->ReportDepth();
   Pump(*ch);
@@ -110,7 +111,8 @@ void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   // cannot take items back out of a server buffer), so it counts as
   // produced — conservation must see it before Pump serves it.
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1);
+    mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                    1);
   }
   ch->PutBack(std::move(item), band);
   if (!ch->parked.empty()) {
@@ -221,11 +223,12 @@ void StreamServer::Pump(OutChannel& channel) {
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
       // Fresh items only: replayed positions were counted when first served.
       if (fresh > 0) {
-        mon->OnServed(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), fresh);
+        mon->OnServed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                      fresh);
       }
       if (channel.sequenced) {
-        mon->OnSequence(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
-                        "server.next", channel.next_seq);
+        mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(),
+                        owner_.kernel().now(), "server.next", channel.next_seq);
       }
     }
     if (redelivered) {
@@ -271,7 +274,7 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
       ch->replay_base++;
     }
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnSequence(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       "server.ack", ch->replay_base);
     }
   }

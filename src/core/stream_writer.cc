@@ -21,10 +21,10 @@ Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
   items_written_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
-      mon->OnProduced(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       items.size());
-      mon->OnPushed(owner_.kernel().shard_index(), owner_.uid(), sink_, owner_.kernel().now(),
-                    items.size());
+      mon->OnPushed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), sink_,
+                    owner_.kernel().now(), items.size());
     }
   }
   RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
@@ -61,8 +61,8 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
       // Only positions beyond the transmission high-water mark are fresh; a
       // rewound resend after a lost push retransmits already-counted items.
       if (first + count > sent_high_) {
-        mon->OnPushed(owner_.kernel().shard_index(), owner_.uid(), sink_, owner_.kernel().now(),
-                      first + count - sent_high_);
+        mon->OnPushed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), sink_,
+                      owner_.kernel().now(), first + count - sent_high_);
       }
     }
     sent_high_ = std::max(sent_high_, first + count);
@@ -97,7 +97,7 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
       replay_base_++;
     }
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnSequence(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(),
+      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                       "writer.ack", replay_base_);
     }
     if (cursor_ < next) {
@@ -122,7 +122,8 @@ Task<Status> StreamWriter::Write(Value item) {
     replay_.push_back(std::move(item));
     items_written_++;
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnProduced(owner_.kernel().shard_index(), owner_.uid(), owner_.kernel().now(), 1);
+      mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
+                      1);
     }
     uint64_t unsent = replay_base_ + replay_.size() - cursor_;
     if (static_cast<int64_t>(unsent) >= options_.batch) {

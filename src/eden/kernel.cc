@@ -477,7 +477,7 @@ void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord w
   route.parent = wait.parent;
   route.sent_at = now();
   if (metrics_ != nullptr) {
-    metrics_->CountInvocation(target, shard_index());
+    metrics_->CountInvocation(target, HomeShard(target_ref.node));
     route.op = op;  // kept for latency attribution at reply time
   }
   if (caller_node != target_node && caller_node != kNoNode && target_node != kNoNode) {
@@ -656,7 +656,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     // Latency = invocation send to reply send, in virtual ticks; attributed
     // to the operation name captured when the invocation left.
     metrics_->RecordLatency(route.op, static_cast<uint64_t>(now() - route.sent_at),
-                            shard_index());
+                            HomeShard(route.target_ref.node));
   }
   ObserveTrace(TraceEvent::Kind::kReply, route.target, route.caller, id,
                route.parent, status.ok_or_end());
@@ -914,9 +914,13 @@ bool Kernel::RunBracketed(bool parallel, Body&& body) {
     profiler_->OnRunStart(shard_count());
     events_before = stats_.events_processed.load(std::memory_order_relaxed);
   }
-  FoldInstruments();
+  if (monitor_ != nullptr) {
+    monitor_->FlushViolations();
+  }
   const bool result = body();
-  FoldInstruments();
+  if (monitor_ != nullptr) {
+    monitor_->FlushViolations();
+  }
   PublishShardMetrics();
   if (profiler_ != nullptr) {
     profiler_->OnRunEnd(
@@ -1108,6 +1112,20 @@ bool Kernel::RunSharded(const std::function<bool()>& done, uint64_t max_events) 
   return control.result;
 }
 
+void Kernel::set_metrics(MetricsRegistry* metrics) {
+  metrics_ = metrics;
+  if (metrics_ != nullptr) {
+    metrics_->Fold(shard_count());
+  }
+}
+
+void Kernel::set_monitor(InvariantMonitor* monitor) {
+  monitor_ = monitor;
+  if (monitor_ != nullptr) {
+    monitor_->Fold(shard_count());
+  }
+}
+
 void Kernel::FoldInstruments() {
   if (metrics_ != nullptr) {
     metrics_->Fold(shard_count());
@@ -1160,13 +1178,15 @@ void Kernel::ObserveTraceSlow(TraceEvent::Kind kind, const Uid& from,
 }
 
 void Kernel::ObserveQueueFactSlow(ObsRecord::Kind kind, QueueComponent component,
-                                  const Uid& owner, uint64_t value) {
+                                  const Eject& eject, uint64_t value) {
+  const Uid& owner = eject.uid();
   if (metrics_ != nullptr) {
+    const int shard = HomeShard(eject.node());
     if (kind == ObsRecord::Kind::kQueueDepth) {
-      metrics_->RecordQueueDepth(component, owner, value, shard_index());
+      metrics_->RecordQueueDepth(component, owner, value, shard);
     } else {
       metrics_->CountFlowEvent(component, owner, static_cast<FlowEvent>(value),
-                               shard_index());
+                               shard);
     }
   }
   if (telemetry_ == nullptr) {

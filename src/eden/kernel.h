@@ -312,15 +312,17 @@ class Kernel {
 
   // Optional metrics (nullptr = none, the default; the recording sites cost
   // one pointer test, mirroring the unset-tracer fast path). Not owned; must
-  // outlive the run. See src/eden/metrics.h.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  // outlive the run. Installing folds the registry's tables (see
+  // MetricsRegistry::Fold). See src/eden/metrics.h.
+  void set_metrics(MetricsRegistry* metrics);
   MetricsRegistry* metrics() const { return metrics_; }
 
   // Optional invariant monitor (nullptr = none, the default; same
   // one-pointer-test fast path as metrics). The kernel forwards every trace
   // event to it; the stream primitives report item flows through it. Not
-  // owned; must outlive the run. See src/eden/monitor.h.
-  void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
+  // owned; must outlive the run. Installing folds the monitor's tables (see
+  // InvariantMonitor::Fold). See src/eden/monitor.h.
+  void set_monitor(InvariantMonitor* monitor);
   InvariantMonitor* monitor() const { return monitor_; }
 
   // The span (invocation id) currently being served, or 0 when control is in
@@ -382,27 +384,33 @@ class Kernel {
   ShardAuditor* auditor() const { return auditor_; }
 
   // The stream primitives' one feed for queue facts: a queue-depth sample,
-  // or a flow-control incident (FlowEvent, metrics.h). The metrics registry
-  // records the fact at once, into the executing shard's delta; telemetry
-  // receives it stamped with now(), through the same deterministic
-  // observation merge as trace events. Two pointer tests when neither
-  // instrument is installed.
-  void ObserveQueueDepth(QueueComponent component, const Uid& owner,
+  // or a flow-control incident (FlowEvent, metrics.h), about a queue of
+  // `owner`. The metrics registry records the fact at once, into the tables
+  // of the owner's home shard; telemetry receives it stamped with now(),
+  // through the same deterministic observation merge as trace events. Two
+  // pointer tests when neither instrument is installed.
+  void ObserveQueueDepth(QueueComponent component, const Eject& owner,
                          size_t depth) {
     if (metrics_ != nullptr || telemetry_ != nullptr) {
       ObserveQueueFactSlow(ObsRecord::Kind::kQueueDepth, component, owner, depth);
     }
   }
-  void ObserveFlowEvent(QueueComponent component, const Uid& owner,
+  void ObserveFlowEvent(QueueComponent component, const Eject& owner,
                         FlowEvent event) {
     if (metrics_ != nullptr || telemetry_ != nullptr) {
       ObserveQueueFactSlow(ObsRecord::Kind::kFlowEvent, component, owner,
                            static_cast<uint64_t>(event));
     }
   }
-  // The shard executing the current event, 0 outside one: the delta slot
-  // the metrics and monitor recording hooks write.
-  int shard_index() const { return OnOwnContext() ? tls_ctx_.shard_index : 0; }
+  // The home shard of a metrics or monitor record about an Eject on `node`:
+  // the table slot the recording hook writes. Inside a parallel phase it is
+  // the executing shard (a worker runs only its own nodes' Ejects);
+  // otherwise, between runs or in a sequential one, ShardOf(node). So every
+  // record about one Eject's queues and flows lands in one table, in time
+  // order, until set_shards re-partitions.
+  int HomeShard(NodeId node) const {
+    return OnOwnContext() && tls_ctx_.parallel ? tls_ctx_.shard_index : ShardOf(node);
+  }
 
   // Optional fault injection (nullptr = perfectly reliable medium). The
   // injector only perturbs inter-Eject traffic; messages to or from the
@@ -625,9 +633,9 @@ class Kernel {
   // order: a k-way merge of the buffers, each already in that order.
   void FlushObservations();
   // A queue fact (kQueueDepth: value is the depth; kFlowEvent: a FlowEvent)
-  // into the metrics delta, and to telemetry buffered or at once.
+  // into the metrics tables, and to telemetry buffered or at once.
   void ObserveQueueFactSlow(ObsRecord::Kind kind, QueueComponent component,
-                            const Uid& owner, uint64_t value);
+                            const Eject& owner, uint64_t value);
   // Inside a parallel phase: a new record at the end of the shard's buffer,
   // stamped with the event key and in-event ordinal. Otherwise null, and
   // the caller delivers at once.
@@ -644,8 +652,9 @@ class Kernel {
   Tick EffectiveLookahead() const;
   bool CanRunParallel() const;
   // Every run entry point's bracket: profiler OnRunStart/OnRunEnd around
-  // `body`, the instruments' deltas folded on both sides, and the shard
-  // counters published to the metrics registry.
+  // `body`, the monitor's hook-found violations flushed on both sides, and
+  // the shard counters published to the metrics registry. The instruments'
+  // tables are not folded.
   template <typename Body>
   bool RunBracketed(bool parallel, Body&& body);
   bool RunSequential(const std::function<bool()>& done, uint64_t max_events);
@@ -653,7 +662,8 @@ class Kernel {
   void DrainMailbox(Shard& shard);
   void FlushOutboxes(Shard& shard);
   void PublishShardMetrics();
-  // Folds the metrics and monitor deltas, keeping a slot per shard.
+  // Folds the metrics and monitor tables into their bases, keeping a slot
+  // per shard (set_shards: every node's home shard may change).
   void FoldInstruments();
   Tick MaxClock() const;
 

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "src/eden/json.h"
-#include "src/eden/shard_fold.h"
 
 namespace eden {
 
@@ -148,56 +147,68 @@ std::optional<QueueComponent> QueueComponentNamed(std::string_view name) {
   return std::nullopt;
 }
 
-void MetricsRegistry::Fold(int shards) const {
-  for (Tables& delta : deltas_) {
-    FoldInto(totals_.latency, delta.latency,
-             [](Log2Histogram& into, const Log2Histogram& from) { into.Merge(from); });
-    FoldInto(totals_.queues, delta.queues,
-             [](QueueGauge& into, const QueueGauge& from) {
-               into.depth = from.depth;
-               into.high_water = std::max(into.high_water, from.high_water);
-               into.samples += from.samples;
-             });
-    FoldInto(totals_.flow, delta.flow,
-             [](FlowCounters& into, const FlowCounters& from) {
-               into.hiwat_hits += from.hiwat_hits;
-               into.putbacks += from.putbacks;
-               into.band_overtakes += from.band_overtakes;
-             });
-    FoldInto(totals_.invocations, delta.invocations,
-             [](uint64_t& into, uint64_t from) { into += from; });
+namespace {
+
+// How two records of one key combine, oldest first.
+void MergeLatency(Log2Histogram& into, const Log2Histogram& from) { into.Merge(from); }
+void MergeGauge(MetricsRegistry::QueueGauge& into,
+                const MetricsRegistry::QueueGauge& from) {
+  into.depth = from.depth;
+  into.high_water = std::max(into.high_water, from.high_water);
+  into.samples += from.samples;
+}
+void MergeFlow(MetricsRegistry::FlowCounters& into,
+               const MetricsRegistry::FlowCounters& from) {
+  into.hiwat_hits += from.hiwat_hits;
+  into.putbacks += from.putbacks;
+  into.band_overtakes += from.band_overtakes;
+}
+void MergeCount(uint64_t& into, uint64_t from) { into += from; }
+
+}  // namespace
+
+void MetricsRegistry::Fold(int shards) {
+  for (Tables& tables : tables_) {
+    FoldInto(base_.latency, tables.latency, MergeLatency);
+    FoldInto(base_.queues, tables.queues, MergeGauge);
+    FoldInto(base_.flow, tables.flow, MergeFlow);
+    FoldInto(base_.invocations, tables.invocations, MergeCount);
   }
-  if (deltas_.size() < static_cast<size_t>(shards)) {
-    deltas_.resize(static_cast<size_t>(shards));
+  if (tables_.size() < static_cast<size_t>(shards)) {
+    tables_.resize(static_cast<size_t>(shards));
   }
 }
 
 const Log2Histogram* MetricsRegistry::LatencyFor(std::string_view op) const {
-  Fold();
-  auto it = totals_.latency.find(std::string(op));
-  return it == totals_.latency.end() ? nullptr : &it->second;
+  const std::string key(op);
+  auto combined = CombinedAt(base_, tables_, &Tables::latency, key, MergeLatency);
+  return combined ? &(lookups_.latency[key] = *combined) : nullptr;
 }
 
 const MetricsRegistry::QueueGauge* MetricsRegistry::QueueFor(
     std::string_view component, const Uid& owner) const {
-  Fold();
   std::optional<QueueComponent> id = QueueComponentNamed(component);
-  auto it = id ? totals_.queues.find({*id, owner}) : totals_.queues.end();
-  return it == totals_.queues.end() ? nullptr : &it->second;
+  if (!id) {
+    return nullptr;
+  }
+  const QueueKey key{*id, owner};
+  auto combined = CombinedAt(base_, tables_, &Tables::queues, key, MergeGauge);
+  return combined ? &(lookups_.queues[key] = *combined) : nullptr;
 }
 
 const MetricsRegistry::FlowCounters* MetricsRegistry::FlowFor(
     std::string_view component, const Uid& owner) const {
-  Fold();
   std::optional<QueueComponent> id = QueueComponentNamed(component);
-  auto it = id ? totals_.flow.find({*id, owner}) : totals_.flow.end();
-  return it == totals_.flow.end() ? nullptr : &it->second;
+  if (!id) {
+    return nullptr;
+  }
+  const QueueKey key{*id, owner};
+  auto combined = CombinedAt(base_, tables_, &Tables::flow, key, MergeFlow);
+  return combined ? &(lookups_.flow[key] = *combined) : nullptr;
 }
 
 uint64_t MetricsRegistry::InvocationsTo(const Uid& target) const {
-  Fold();
-  auto it = totals_.invocations.find(target);
-  return it == totals_.invocations.end() ? 0 : it->second;
+  return CombinedAt(base_, tables_, &Tables::invocations, target, MergeCount).value_or(0);
 }
 
 std::vector<std::pair<int, ShardCounters>> MetricsRegistry::ShardSnapshot() const {
@@ -205,10 +216,11 @@ std::vector<std::pair<int, ShardCounters>> MetricsRegistry::ShardSnapshot() cons
 }
 
 void MetricsRegistry::Clear() {
-  for (Tables& delta : deltas_) {
-    delta = Tables{};
+  for (Tables& tables : tables_) {
+    tables = Tables{};
   }
-  totals_ = Tables{};
+  base_ = Tables{};
+  lookups_ = Tables{};
   shards_.clear();
 }
 
@@ -221,14 +233,21 @@ std::string MetricsRegistry::KeyName(const QueueKey& key) const {
   return std::string(QueueComponentName(key.first)) + "/" + NameOf(key.second);
 }
 
+MetricsRegistry::Combined MetricsRegistry::Combine() const {
+  return Combined{SortedUnion(base_, tables_, &Tables::latency, MergeLatency),
+                  SortedUnion(base_, tables_, &Tables::queues, MergeGauge),
+                  SortedUnion(base_, tables_, &Tables::flow, MergeFlow),
+                  SortedUnion(base_, tables_, &Tables::invocations, MergeCount)};
+}
+
 Value MetricsRegistry::Snapshot() const {
-  Fold();
+  const Combined all = Combine();
   Value latency;
-  for (const auto& [op, histogram] : totals_.latency) {
+  for (const auto& [op, histogram] : all.latency) {
     latency.Set(op, histogram.ToValue());
   }
   Value queues;
-  for (const auto& [key, gauge] : totals_.queues) {
+  for (const auto& [key, gauge] : all.queues) {
     Value entry;
     entry.Set("depth", Value(static_cast<uint64_t>(gauge.depth)));
     entry.Set("high_water", Value(static_cast<uint64_t>(gauge.high_water)));
@@ -236,7 +255,7 @@ Value MetricsRegistry::Snapshot() const {
     queues.Set(KeyName(key), std::move(entry));
   }
   Value flow;
-  for (const auto& [key, counters] : totals_.flow) {
+  for (const auto& [key, counters] : all.flow) {
     Value entry;
     entry.Set("hiwat_hits", Value(counters.hiwat_hits));
     entry.Set("putbacks", Value(counters.putbacks));
@@ -244,7 +263,7 @@ Value MetricsRegistry::Snapshot() const {
     flow.Set(KeyName(key), std::move(entry));
   }
   Value invocations;
-  for (const auto& [uid, count] : totals_.invocations) {
+  for (const auto& [uid, count] : all.invocations) {
     invocations.Set(NameOf(uid), Value(count));
   }
   Value shards;
@@ -275,10 +294,10 @@ Value MetricsRegistry::Snapshot() const {
 std::string MetricsRegistry::ToJson() const { return ValueToJson(Snapshot()); }
 
 std::string MetricsRegistry::ToString() const {
-  Fold();
+  const Combined all = Combine();
   std::string out;
   char buf[256];
-  for (const auto& [op, h] : totals_.latency) {
+  for (const auto& [op, h] : all.latency) {
     std::snprintf(buf, sizeof(buf),
                   "latency %-16s count=%llu mean=%.1f p50=%llu p90=%llu "
                   "p99=%llu max=%llu\n",
@@ -289,14 +308,14 @@ std::string MetricsRegistry::ToString() const {
                   static_cast<unsigned long long>(h.max()));
     out += buf;
   }
-  for (const auto& [key, gauge] : totals_.queues) {
+  for (const auto& [key, gauge] : all.queues) {
     std::snprintf(buf, sizeof(buf),
                   "queue   %-28s depth=%zu high_water=%zu samples=%llu\n",
                   KeyName(key).c_str(), gauge.depth,
                   gauge.high_water, static_cast<unsigned long long>(gauge.samples));
     out += buf;
   }
-  for (const auto& [key, counters] : totals_.flow) {
+  for (const auto& [key, counters] : all.flow) {
     std::snprintf(buf, sizeof(buf),
                   "flow    %-28s hiwat_hits=%llu putbacks=%llu "
                   "band_overtakes=%llu\n",
@@ -306,7 +325,7 @@ std::string MetricsRegistry::ToString() const {
                   static_cast<unsigned long long>(counters.band_overtakes));
     out += buf;
   }
-  for (const auto& [uid, count] : totals_.invocations) {
+  for (const auto& [uid, count] : all.invocations) {
     std::snprintf(buf, sizeof(buf), "invoked %-16s count=%llu\n",
                   NameOf(uid).c_str(), static_cast<unsigned long long>(count));
     out += buf;

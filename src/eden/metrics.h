@@ -20,9 +20,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/eden/shard_tables.h"
 #include "src/eden/stats.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -129,27 +131,28 @@ class MetricsRegistry {
 
   // ---- Recording hooks (kernel and stream components; callers gate on the
   // registry pointer, so these assume they are wanted). `shard` is the
-  // executing kernel shard (Kernel::shard_index(), 0 outside a kernel). A
-  // hook writes only that shard's delta and takes no lock, so shard workers
-  // record side by side. Deltas fold into the totals in Fold and before
-  // every read. Every quantity is a commutative aggregate (histogram sums,
-  // counts, maxima), so the folded totals are the same at any shard count.
+  // record's home shard (Kernel::HomeShard; 0 outside a kernel). A hook
+  // writes only that shard's tables and takes no lock, so shard workers
+  // record side by side. The tables stay where they are: no run folds them.
+  // Every quantity is a commutative aggregate (histogram sums, counts,
+  // maxima) or, for a queue's depth, a last value that only its own home
+  // shard records, so what the reads combine is the same at any shard count.
   void RecordLatency(const std::string& op, uint64_t ticks, int shard = 0) {
-    DeltaFor(shard).latency[op].Record(ticks);
+    TablesFor(shard).latency[op].Record(ticks);
   }
   void CountInvocation(const Uid& target, int shard = 0) {
-    DeltaFor(shard).invocations[target]++;
+    TablesFor(shard).invocations[target]++;
   }
   void RecordQueueDepth(QueueComponent component, const Uid& owner,
                         size_t depth, int shard = 0) {
-    QueueGauge& gauge = DeltaFor(shard).queues[{component, owner}];
+    QueueGauge& gauge = TablesFor(shard).queues[{component, owner}];
     gauge.depth = depth;
     gauge.high_water = depth > gauge.high_water ? depth : gauge.high_water;
     gauge.samples++;
   }
   void CountFlowEvent(QueueComponent component, const Uid& owner,
                       FlowEvent event, int shard = 0) {
-    FlowCounters& counters = DeltaFor(shard).flow[{component, owner}];
+    FlowCounters& counters = TablesFor(shard).flow[{component, owner}];
     switch (event) {
       case FlowEvent::kHiwatHit: counters.hiwat_hits++; break;
       case FlowEvent::kPutBack: counters.putbacks++; break;
@@ -157,11 +160,12 @@ class MetricsRegistry {
     }
   }
 
-  // Folds every shard's delta into the totals and keeps at least `shards`
-  // delta slots, so the hooks of a run on that many workers never grow the
-  // slot vector. The kernel calls it at both ends of every run and at
-  // set_shards.
-  void Fold(int shards = 1) const;
+  // Folds every shard's tables into the base and keeps at least `shards`
+  // table slots, so the hooks of a run on that many workers never grow the
+  // slot vector. The kernel calls it when it re-partitions (set_shards),
+  // which moves queues to new home shards, and when it installs the
+  // registry; nothing else folds.
+  void Fold(int shards = 1);
 
   // Published by the kernel after each run (replacing any previous counters
   // for that shard, so the registry always reflects the most recent run).
@@ -172,11 +176,11 @@ class MetricsRegistry {
   // Pretty names for snapshot keys (defaults to the short UID).
   void Label(const Uid& uid, std::string name) { labels_[uid] = std::move(name); }
 
-  // ---- Introspection. Each read folds first, so it writes the registry:
-  // neither the reads nor Fold are thread-safe, and none may overlap a run
-  // or another read. Call them between runs, or from a RunUntil predicate,
-  // which runs while every worker is parked. Returned pointers stay valid
-  // (node-based maps).
+  // ---- Introspection. A read combines the base and every shard's tables
+  // without moving anything; it must not overlap a run (call it between
+  // runs, or from a RunUntil predicate, which runs while every worker is
+  // parked). A point lookup returns its key's combined value as of the
+  // lookup, in a cache that keeps the pointer valid until Clear.
   const Log2Histogram* LatencyFor(std::string_view op) const;
   const QueueGauge* QueueFor(std::string_view component, const Uid& owner) const;
   const FlowCounters* FlowFor(std::string_view component, const Uid& owner) const;
@@ -196,32 +200,42 @@ class MetricsRegistry {
   std::string ToString() const;
 
  private:
-  // The recorded facts: the totals, and each shard's delta since the last
-  // fold.
+  // One shard's recorded facts (or, in the base, those recorded before the
+  // last fold). Latency is keyed by a handful of operation names; the rest
+  // by queue or Eject, tens of thousands of keys on a wide topology, so
+  // they hash, and the reads sort.
   struct alignas(64) Tables {
     std::map<std::string, Log2Histogram> latency;
-    std::map<QueueKey, QueueGauge> queues;
-    std::map<QueueKey, FlowCounters> flow;
-    std::map<Uid, uint64_t> invocations;
+    std::unordered_map<QueueKey, QueueGauge, PairHash> queues;
+    std::unordered_map<QueueKey, FlowCounters, PairHash> flow;
+    std::unordered_map<Uid, uint64_t, Uid::Hash> invocations;
   };
 
-  // Grows the slot vector only outside a parallel run (Kernel::Step runs
-  // each shard's events with that shard's index): Fold sized it for a
-  // parallel run's workers before they started.
-  Tables& DeltaFor(int shard) {
-    if (static_cast<size_t>(shard) >= deltas_.size()) {
-      deltas_.resize(static_cast<size_t>(shard) + 1);
+  // Grows the slot vector only outside a parallel run (a hook called
+  // directly may name any shard): Fold sized it for a parallel run's workers
+  // when the kernel installed the registry or re-partitioned.
+  Tables& TablesFor(int shard) {
+    if (static_cast<size_t>(shard) >= tables_.size()) {
+      tables_.resize(static_cast<size_t>(shard) + 1);
     }
-    return deltas_[static_cast<size_t>(shard)];
+    return tables_[static_cast<size_t>(shard)];
   }
+  // Every table of the base and the shards, combined and sorted by key.
+  struct Combined {
+    std::vector<std::pair<std::string, Log2Histogram>> latency;
+    std::vector<std::pair<QueueKey, QueueGauge>> queues;
+    std::vector<std::pair<QueueKey, FlowCounters>> flow;
+    std::vector<std::pair<Uid, uint64_t>> invocations;
+  };
+  Combined Combine() const;
   std::string NameOf(const Uid& uid) const;
   // "component/name", the snapshot key of a queue.
   std::string KeyName(const QueueKey& key) const;
 
-  // Folding moves recorded facts from the deltas into the totals without
-  // changing any sum, so the const reads may do it.
-  mutable std::vector<Tables> deltas_ = std::vector<Tables>(1);
-  mutable Tables totals_;
+  std::vector<Tables> tables_ = std::vector<Tables>(1);  // one per shard
+  Tables base_;
+  // The point lookups' combined values.
+  mutable Tables lookups_;
   std::map<Uid, std::string> labels_;
   std::map<int, ShardCounters> shards_;
 };

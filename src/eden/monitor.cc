@@ -6,8 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/eden/shard_fold.h"
-
 namespace eden {
 
 namespace {
@@ -33,26 +31,32 @@ const char* KindName(InvariantMonitor::Violation::Kind kind) {
   return "unknown";
 }
 
+void AddFlow(InvariantMonitor::Flow& into, const InvariantMonitor::Flow& from) {
+  into += from;
+}
+void AddCount(uint64_t& into, uint64_t from) { into += from; }
+
 }  // namespace
 
 template <typename Map>
-InvariantMonitor::Flow InvariantMonitor::Add(Map& delta, const Map& totals,
+InvariantMonitor::Flow InvariantMonitor::Add(Map& table, const Map& base,
                                              const typename Map::key_type& key,
                                              uint64_t Flow::*field,
                                              uint64_t items) {
-  Flow& added = delta[key];
+  Flow& added = table[key];
   added.*field += items;
   Flow total = added;
-  if (auto it = totals.find(key); it != totals.end()) {
-    total += it->second;
+  if (!base.empty()) {
+    if (auto it = base.find(key); it != base.end()) {
+      total += it->second;
+    }
   }
   return total;
 }
 
 void InvariantMonitor::Report(int shard, Violation::Kind kind, Tick at,
                               const Uid& stage, std::string detail) {
-  DeltaFor(shard).violations.push_back(
-      Violation{kind, at, stage, std::move(detail)});
+  TablesFor(shard).found.push_back(Violation{kind, at, stage, std::move(detail)});
 }
 
 void InvariantMonitor::Emit(Violation violation) const {
@@ -66,22 +70,15 @@ void InvariantMonitor::Emit(Violation violation) const {
     event.ok = false;
     trace_sink_(event);
   }
-  totals_.violations.push_back(std::move(violation));
+  violations_.push_back(std::move(violation));
 }
 
-void InvariantMonitor::Fold(int shards) const {
-  auto add = [](auto& into, const auto& from) { into += from; };
+void InvariantMonitor::FlushViolations() const {
   std::vector<Violation> found;
-  for (Tables& delta : deltas_) {
-    FoldInto(totals_.flows, delta.flows, add);
-    FoldInto(totals_.bands, delta.bands, add);
-    FoldInto(totals_.pulled_from, delta.pulled_from, add);
-    FoldInto(totals_.pushed_into, delta.pushed_into, add);
-    FoldInto(totals_.sequences, delta.sequences,
-             [](uint64_t& into, uint64_t from) { into = from; });
-    found.insert(found.end(), std::make_move_iterator(delta.violations.begin()),
-                 std::make_move_iterator(delta.violations.end()));
-    delta.violations.clear();
+  for (const Tables& tables : tables_) {
+    found.insert(found.end(), std::make_move_iterator(tables.found.begin()),
+                 std::make_move_iterator(tables.found.end()));
+    tables.found.clear();
   }
   std::stable_sort(found.begin(), found.end(),
                    [](const Violation& a, const Violation& b) {
@@ -90,8 +87,20 @@ void InvariantMonitor::Fold(int shards) const {
   for (Violation& violation : found) {
     Emit(std::move(violation));
   }
-  if (deltas_.size() < static_cast<size_t>(shards)) {
-    deltas_.resize(static_cast<size_t>(shards));
+}
+
+void InvariantMonitor::Fold(int shards) {
+  FlushViolations();
+  for (Tables& tables : tables_) {
+    FoldInto(base_.flows, tables.flows, AddFlow);
+    FoldInto(base_.bands, tables.bands, AddFlow);
+    FoldInto(base_.pulled_from, tables.pulled_from, AddCount);
+    FoldInto(base_.pushed_into, tables.pushed_into, AddCount);
+    FoldInto(base_.sequences, tables.sequences,
+             [](uint64_t& into, uint64_t from) { into = from; });
+  }
+  if (tables_.size() < static_cast<size_t>(shards)) {
+    tables_.resize(static_cast<size_t>(shards));
   }
 }
 
@@ -135,7 +144,7 @@ void InvariantMonitor::OnTraceEvent(const TraceEvent& event) {
 
 void InvariantMonitor::OnProduced(int shard, const Uid& stage, Tick,
                                   uint64_t items) {
-  Add(DeltaFor(shard).flows, totals_.flows, stage, &Flow::produced, items);
+  Add(TablesFor(shard).flows, base_.flows, stage, &Flow::produced, items);
 }
 
 void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
@@ -151,30 +160,30 @@ void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
 void InvariantMonitor::OnServed(int shard, const Uid& stage, Tick at,
                                 uint64_t items) {
   CheckDelivered(shard, stage, at,
-                 Add(DeltaFor(shard).flows, totals_.flows, stage, &Flow::served, items));
+                 Add(TablesFor(shard).flows, base_.flows, stage, &Flow::served, items));
 }
 
 void InvariantMonitor::OnPushed(int shard, const Uid& stage, const Uid& sink,
                                 Tick at, uint64_t items) {
-  Tables& delta = DeltaFor(shard);
-  delta.pushed_into[sink] += items;
+  Tables& tables = TablesFor(shard);
+  tables.pushed_into[sink] += items;
   CheckDelivered(shard, stage, at,
-                 Add(delta.flows, totals_.flows, stage, &Flow::pushed, items));
+                 Add(tables.flows, base_.flows, stage, &Flow::pushed, items));
 }
 
 void InvariantMonitor::OnPulled(int shard, const Uid& stage, const Uid& source,
                                 Tick, uint64_t items) {
-  Tables& delta = DeltaFor(shard);
-  delta.pulled_from[source] += items;
-  Add(delta.flows, totals_.flows, stage, &Flow::pulled, items);
+  Tables& tables = TablesFor(shard);
+  tables.pulled_from[source] += items;
+  Add(tables.flows, base_.flows, stage, &Flow::pulled, items);
 }
 
 void InvariantMonitor::OnAccepted(int shard, const Uid& stage, Tick,
                                   uint64_t items, int band) {
-  Tables& delta = DeltaFor(shard);
-  Add(delta.flows, totals_.flows, stage, &Flow::accepted, items);
+  Tables& tables = TablesFor(shard);
+  Add(tables.flows, base_.flows, stage, &Flow::accepted, items);
   if (band >= 0) {
-    Add(delta.bands, totals_.bands, {stage, band}, &Flow::accepted, items);
+    Add(tables.bands, base_.bands, {stage, band}, &Flow::accepted, items);
   }
 }
 
@@ -204,24 +213,24 @@ void InvariantMonitor::CheckTaken(int shard, const Uid& stage, Tick at,
 
 void InvariantMonitor::OnConsumed(int shard, const Uid& stage, Tick at,
                                   uint64_t items, int band) {
-  Tables& delta = DeltaFor(shard);
+  Tables& tables = TablesFor(shard);
   CheckTaken(shard, stage, at, -1,
-             Add(delta.flows, totals_.flows, stage, &Flow::consumed, items), false);
+             Add(tables.flows, base_.flows, stage, &Flow::consumed, items), false);
   if (band >= 0) {
     CheckTaken(shard, stage, at, band,
-               Add(delta.bands, totals_.bands, {stage, band}, &Flow::consumed, items),
+               Add(tables.bands, base_.bands, {stage, band}, &Flow::consumed, items),
                false);
   }
 }
 
 void InvariantMonitor::OnPutBack(int shard, const Uid& stage, Tick at,
                                  uint64_t items, int band) {
-  Tables& delta = DeltaFor(shard);
+  Tables& tables = TablesFor(shard);
   CheckTaken(shard, stage, at, -1,
-             Add(delta.flows, totals_.flows, stage, &Flow::putback, items), true);
+             Add(tables.flows, base_.flows, stage, &Flow::putback, items), true);
   if (band >= 0) {
     CheckTaken(shard, stage, at, band,
-               Add(delta.bands, totals_.bands, {stage, band}, &Flow::putback, items),
+               Add(tables.bands, base_.bands, {stage, band}, &Flow::putback, items),
                true);
   }
 }
@@ -229,10 +238,10 @@ void InvariantMonitor::OnPutBack(int shard, const Uid& stage, Tick at,
 void InvariantMonitor::OnSequence(int shard, const Uid& stage, Tick at,
                                   std::string_view counter, uint64_t value) {
   auto key = std::make_pair(stage, std::string(counter));
-  auto [it, fresh] = DeltaFor(shard).sequences.try_emplace(key, value);
+  auto [it, fresh] = TablesFor(shard).sequences.try_emplace(key, value);
   if (fresh) {
-    auto base = totals_.sequences.find(key);
-    if (base == totals_.sequences.end()) {
+    auto base = base_.sequences.find(key);
+    if (base == base_.sequences.end()) {
       return;
     }
     it->second = base->second;
@@ -276,9 +285,27 @@ uint64_t InvariantMonitor::invocations_of(std::string_view op) const {
   return it == invocations_by_op_.end() ? 0 : it->second;
 }
 
+InvariantMonitor::Combined InvariantMonitor::Combine() const {
+  return Combined{SortedUnion(base_, tables_, &Tables::flows, AddFlow),
+                  SortedUnion(base_, tables_, &Tables::bands, AddFlow),
+                  SortedUnion(base_, tables_, &Tables::pulled_from, AddCount),
+                  SortedUnion(base_, tables_, &Tables::pushed_into, AddCount)};
+}
+
+std::map<Uid, InvariantMonitor::Flow> InvariantMonitor::flows() const {
+  std::vector<std::pair<Uid, Flow>> sorted =
+      SortedUnion(base_, tables_, &Tables::flows, AddFlow);
+  return {sorted.begin(), sorted.end()};
+}
+
 std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
-  Fold();
-  std::vector<Violation> result = totals_.violations;
+  FlushViolations();
+  return Check(Combine());
+}
+
+std::vector<InvariantMonitor::Violation> InvariantMonitor::Check(
+    const Combined& all) const {
+  std::vector<Violation> result = violations_;
   auto report = [&result](Violation::Kind kind, const Uid& stage,
                           std::string detail) {
     Violation violation;
@@ -291,12 +318,9 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
   // Wire conservation, pull side: everything a server handed out over
   // Transfer replies must have been ingested by some reader. A shortfall
   // means a reply (and the items it carried) was lost in flight.
-  const std::map<Uid, uint64_t>& pulled_from = totals_.pulled_from;
-  for (const auto& [stage, flow] : totals_.flows) {
-    uint64_t arrived = 0;
-    if (auto it = pulled_from.find(stage); it != pulled_from.end()) {
-      arrived = it->second;
-    }
+  for (const auto& [stage, flow] : all.flows) {
+    const uint64_t* pulled = FindSorted(all.pulled_from, stage);
+    const uint64_t arrived = pulled != nullptr ? *pulled : 0;
     if (flow.served != arrived) {
       report(Violation::Kind::kFlowConservation, stage,
              NameOf(stage) + " served " + std::to_string(flow.served) +
@@ -304,8 +328,8 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
                  " (lost on the wire)");
     }
   }
-  for (const auto& [stage, arrived] : pulled_from) {
-    if (totals_.flows.find(stage) == totals_.flows.end() && arrived != 0) {
+  for (const auto& [stage, arrived] : all.pulled_from) {
+    if (FindSorted(all.flows, stage) == nullptr && arrived != 0) {
       report(Violation::Kind::kFlowConservation, stage,
              "consumers ingested " + std::to_string(arrived) + " items from " +
                  NameOf(stage) + " which served none");
@@ -314,11 +338,9 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
 
   // Wire conservation, push side: everything a writer transmitted must have
   // been accepted by the acceptor it names as its sink.
-  for (const auto& [sink, sent] : totals_.pushed_into) {
-    uint64_t accepted = 0;
-    if (auto it = totals_.flows.find(sink); it != totals_.flows.end()) {
-      accepted = it->second.accepted;
-    }
+  for (const auto& [sink, sent] : all.pushed_into) {
+    const Flow* flow = FindSorted(all.flows, sink);
+    const uint64_t accepted = flow != nullptr ? flow->accepted : 0;
     if (sent != accepted) {
       report(Violation::Kind::kFlowConservation, sink,
              "writers pushed " + std::to_string(sent) + " items at " +
@@ -349,13 +371,14 @@ std::string InvariantMonitor::NameOf(const Uid& uid) const {
 }
 
 std::string InvariantMonitor::ToString() const {
-  Fold();
+  FlushViolations();
+  const Combined all = Combine();
   std::ostringstream out;
   out << "invariant monitor: " << events_seen_ << " events, "
-      << totals_.flows.size() << " stages\n";
+      << all.flows.size() << " stages\n";
   out << "  stage            in(pull+acc)  consumed  produced  out(srv+psh)"
          "  buffered\n";
-  for (const auto& [stage, flow] : totals_.flows) {
+  for (const auto& [stage, flow] : all.flows) {
     int64_t in = static_cast<int64_t>(flow.pulled + flow.accepted);
     int64_t delivered = static_cast<int64_t>(flow.served + flow.pushed);
     // in - net consumed (put-backs return to the buffer) still sits in input
@@ -374,19 +397,19 @@ std::string InvariantMonitor::ToString() const {
                   static_cast<long long>(buffered));
     out << line;
   }
-  if (!totals_.bands.empty()) {
+  if (!all.bands.empty()) {
     out << "  bands (accepted/taken/putback):\n";
-    for (const auto& [key, bf] : totals_.bands) {
+    for (const auto& [key, bf] : all.bands) {
       out << "    " << NameOf(key.first) << " band " << key.second << ": "
           << bf.accepted << "/" << bf.consumed << "/" << bf.putback << "\n";
     }
   }
-  std::vector<Violation> all = Check();
-  if (all.empty()) {
+  std::vector<Violation> found = Check(all);
+  if (found.empty()) {
     out << "  all invariants hold\n";
   } else {
-    out << "  VIOLATIONS (" << all.size() << "):\n";
-    for (const Violation& violation : all) {
+    out << "  VIOLATIONS (" << found.size() << "):\n";
+    for (const Violation& violation : found) {
       out << "    [" << KindName(violation.kind) << "]";
       if (violation.at != 0) {
         out << " t=" << violation.at;
@@ -407,9 +430,10 @@ void InvariantMonitor::Describe(const Violation& violation, Value& out) {
 }
 
 Value InvariantMonitor::ToValue() const {
-  Fold();
+  FlushViolations();
+  const Combined all = Combine();
   Value flows;
-  for (const auto& [stage, flow] : totals_.flows) {
+  for (const auto& [stage, flow] : all.flows) {
     Value entry;
     entry.Set("produced", Value(static_cast<int64_t>(flow.produced)));
     entry.Set("served", Value(static_cast<int64_t>(flow.served)));
@@ -421,7 +445,7 @@ Value InvariantMonitor::ToValue() const {
     flows.Set(NameOf(stage), std::move(entry));
   }
   Value bands;
-  for (const auto& [key, bf] : totals_.bands) {
+  for (const auto& [key, bf] : all.bands) {
     Value entry;
     entry.Set("accepted", Value(static_cast<int64_t>(bf.accepted)));
     entry.Set("taken", Value(static_cast<int64_t>(bf.consumed)));
@@ -433,9 +457,9 @@ Value InvariantMonitor::ToValue() const {
   for (const auto& [op, count] : invocations_by_op_) {
     invocations.Set(op, Value(static_cast<int64_t>(count)));
   }
-  std::vector<Violation> all = Check();
+  std::vector<Violation> found = Check(all);
   ValueList violations;
-  for (const Violation& violation : all) {
+  for (const Violation& violation : found) {
     Value entry;
     Describe(violation, entry);
     violations.push_back(std::move(entry));
@@ -443,20 +467,21 @@ Value InvariantMonitor::ToValue() const {
   Value report;
   report.Set("events", Value(static_cast<int64_t>(events_seen_)));
   report.Set("flows", std::move(flows));
-  if (!totals_.bands.empty()) {
+  if (!all.bands.empty()) {
     report.Set("bands", std::move(bands));
   }
   report.Set("invocations", std::move(invocations));
-  report.Set("ok", Value(all.empty()));
+  report.Set("ok", Value(found.empty()));
   report.Set("violations", Value(std::move(violations)));
   return report;
 }
 
 void InvariantMonitor::Clear() {
-  for (Tables& delta : deltas_) {
-    delta = Tables{};
+  for (Tables& tables : tables_) {
+    tables = Tables{};
   }
-  totals_ = Tables{};
+  base_ = Tables{};
+  violations_.clear();
   invocations_by_op_.clear();
   expected_invocations_.clear();
   last_span_by_origin_.clear();

@@ -36,28 +36,33 @@
 // expectation checks on top, without mutating any total, so the shell can
 // call it repeatedly.
 //
-// Threading. The stream-primitive hooks write only the delta of the shard
-// that calls them (Kernel::shard_index()), with no lock. An inline check
-// reads the folded totals, which no hook writes while workers run, plus its
-// own shard's delta: a stage's events all run on its node's shard, so that
-// sum is the stage's whole history, across runs and re-partitions. Deltas
-// fold into the totals in Fold (the kernel calls it at both ends of every
-// run and at set_shards) and before every read, so the reads write the
-// monitor: neither they nor Fold are thread-safe, and none may overlap a
-// run or another read. The other feeds write the totals directly: the
-// trace, static and SLO feeds single-threaded; the audit feed may come from
-// a worker, serialized by the auditor, and touches only the violation list,
-// which no hook reads.
+// Threading. The stream-primitive hooks write only the tables of the
+// record's home shard (Kernel::HomeShard: the executing shard inside a
+// parallel phase, otherwise the stage's node's shard), with no lock. Those
+// tables keep what the shard recorded for good; no run folds them. An
+// inline check reads its own shard's table plus a read-only base, which
+// holds what was recorded before the last re-partition: every record about
+// a stage since then landed in its home shard, so that sum is the stage's
+// whole history, across runs and re-partitions. Fold is the only fold: the
+// kernel calls it from set_shards, which changes every stage's home shard,
+// and when it installs the monitor. The reads combine the base and the
+// shard tables without moving them; neither they nor Fold are thread-safe,
+// and none may overlap a run or another read. The other feeds write the
+// monitor directly: the trace, static and SLO feeds single-threaded; the
+// audit feed may come from a worker, serialized by the auditor, and touches
+// only the violation list, which no hook reads.
 //
 // Violation order. Violations from the trace, static, SLO and audit feeds
 // join violations() when reported. Those the stream-primitive hooks find
-// wait in their shard's delta until the next fold, even in a sequential
-// run, which folds at its end; each fold appends them sorted by (tick,
-// stage UID), in detection order among equal keys. Neither key depends on
-// the shard count, so violations(), and the kViolation events emitted into
-// the trace sink in the same order, are the same at any shard count. As it
-// waits for the fold, a hook violation's kViolation event reaches the sink
-// after the run's trace events, not beside the span that caused it.
+// wait in their shard's table until FlushViolations, which the kernel calls
+// at both ends of every run, so they surface when the run that found them
+// ends, even in a sequential run; a read or a Fold flushes too. Each flush
+// appends them sorted by (tick, stage UID), in detection order among equal
+// keys. Neither key depends on the shard count, so violations(), and the
+// kViolation events emitted into the trace sink in the same order, are the
+// same at any shard count. As it waits for the flush, a hook violation's
+// kViolation event reaches the sink after the run's trace events, not
+// beside the span that caused it.
 #ifndef SRC_EDEN_MONITOR_H_
 #define SRC_EDEN_MONITOR_H_
 
@@ -65,10 +70,12 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/eden/clock.h"
+#include "src/eden/shard_tables.h"
 #include "src/eden/trace.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -124,10 +131,10 @@ class InvariantMonitor {
   void OnTraceEvent(const TraceEvent& event);
 
   // ---- Stream-primitive feed. Callers gate on kernel().monitor() so the
-  // uninstalled fast path stays one pointer test. `shard` is
-  // Kernel::shard_index() (see the file comment; 0 outside a kernel); `at`
-  // is kernel().now() — passed in so the monitor needs no back-pointer to
-  // the kernel.
+  // uninstalled fast path stays one pointer test. `shard` is the stage's
+  // home shard, Kernel::HomeShard (see the file comment; 0 outside a
+  // kernel); `at` is kernel().now() — passed in so the monitor needs no
+  // back-pointer to the kernel.
   void OnProduced(int shard, const Uid& stage, Tick at, uint64_t items);
   void OnServed(int shard, const Uid& stage, Tick at, uint64_t items);
   void OnPushed(int shard, const Uid& stage, const Uid& sink, Tick at,
@@ -149,10 +156,13 @@ class InvariantMonitor {
   // acceptor next, writer ack). Violation if `value` regresses.
   void OnSequence(int shard, const Uid& stage, Tick at,
                   std::string_view counter, uint64_t value);
-  // Folds every shard's delta into the totals and keeps at least `shards`
-  // delta slots, so the hooks of a run on that many workers never grow the
-  // slot vector.
-  void Fold(int shards = 1) const;
+  // Folds every shard's tables into the base, flushes, and keeps at least
+  // `shards` table slots, so the hooks of a run on that many workers never
+  // grow the slot vector (see the file comment).
+  void Fold(int shards = 1);
+  // Appends the violations the hooks found since the last flush to
+  // violations() and emits them into the trace sink (see the file comment).
+  void FlushViolations() const;
   // ---- Static-verification feed. The PipelineLinter's error findings join
   // the violation stream here (kind kStatic), so one `monitor` report and
   // one kViolation trace carry both the runtime and the static story.
@@ -174,12 +184,13 @@ class InvariantMonitor {
   // (n+1)(m+1) Transfers. Sugar over ExpectInvocations.
   void ExpectReadOnlyPipeline(uint64_t filters, uint64_t items);
 
-  // ---- Results. Each read folds first (see the file comment).
+  // ---- Results. Each read flushes first and combines the tables (see the
+  // file comment).
   // Inline violations recorded so far (span-tree, sequence, impossible
   // flows), in the order the file comment defines.
   const std::vector<Violation>& violations() const {
-    Fold();
-    return totals_.violations;
+    FlushViolations();
+    return violations_;
   }
   // Inline violations plus the end-of-run checks (wire conservation per
   // edge, invocation-count expectations). Non-mutating and idempotent;
@@ -187,10 +198,7 @@ class InvariantMonitor {
   std::vector<Violation> Check() const;
   bool ok() const { return Check().empty(); }
 
-  const std::map<Uid, Flow>& flows() const {
-    Fold();
-    return totals_.flows;
-  }
+  std::map<Uid, Flow> flows() const;
   uint64_t invocations_of(std::string_view op) const;
 
   // Violations are also emitted as TraceEvent::Kind::kViolation into this
@@ -207,37 +215,48 @@ class InvariantMonitor {
   void Clear();
 
  private:
-  // The stream-primitive reports: the totals, and each shard's delta since
-  // the last fold.
+  // The stream-primitive reports of one shard (or, in the base, those
+  // recorded before the last fold). Keyed by stage, tens of thousands of
+  // keys on a wide topology, so they hash, and the reads sort.
   struct alignas(64) Tables {
-    std::map<Uid, Flow> flows;
+    std::unordered_map<Uid, Flow, Uid::Hash> flows;
     // Banded (acceptor-side) queues also charge every arrival, take and
     // put-back to its band (as accepted, consumed, putback), so the bands
     // provably drop nothing — a band that hands out more than arrived (net
     // of put-backs) is caught inline.
-    std::map<std::pair<Uid, int>, Flow> bands;
+    std::unordered_map<std::pair<Uid, int>, Flow, PairHash> bands;
     // Wire accounting, recorded by the active end (which knows both
     // parties): items readers ingested per server, and writers pushed per
     // acceptor.
-    std::map<Uid, uint64_t> pulled_from;
-    std::map<Uid, uint64_t> pushed_into;
-    std::map<std::pair<Uid, std::string>, uint64_t> sequences;  // last value
-    // In the totals, violations() itself; in a delta, detection order.
-    std::vector<Violation> violations;
+    std::unordered_map<Uid, uint64_t, Uid::Hash> pulled_from;
+    std::unordered_map<Uid, uint64_t, Uid::Hash> pushed_into;
+    std::unordered_map<std::pair<Uid, std::string>, uint64_t, PairHash>
+        sequences;  // last value
+    // Violations the hooks found, in detection order, until the next flush
+    // (which a const read may do).
+    mutable std::vector<Violation> found;
+  };
+  // The base and the shard tables combined, each sorted by key.
+  struct Combined {
+    std::vector<std::pair<Uid, Flow>> flows;
+    std::vector<std::pair<std::pair<Uid, int>, Flow>> bands;
+    std::vector<std::pair<Uid, uint64_t>> pulled_from;
+    std::vector<std::pair<Uid, uint64_t>> pushed_into;
   };
 
-  // Grows the slot vector only outside a parallel run (Kernel::Step runs
-  // each shard's events with that shard's index): Fold sized it for a
-  // parallel run's workers before they started.
-  Tables& DeltaFor(int shard) {
-    if (static_cast<size_t>(shard) >= deltas_.size()) {
-      deltas_.resize(static_cast<size_t>(shard) + 1);
+  // Grows the slot vector only outside a parallel run (a hook called
+  // directly may name any shard): Fold sized it for a parallel run's workers
+  // when the kernel installed the monitor or re-partitioned.
+  Tables& TablesFor(int shard) {
+    if (static_cast<size_t>(shard) >= tables_.size()) {
+      tables_.resize(static_cast<size_t>(shard) + 1);
     }
-    return deltas_[static_cast<size_t>(shard)];
+    return tables_[static_cast<size_t>(shard)];
   }
-  // Adds `items` to `field` of `key`'s delta entry; returns the key's total.
+  // Adds `items` to `field` of `key`'s entry in the shard's `table`;
+  // returns the key's whole history (that entry plus the base's).
   template <typename Map>
-  static Flow Add(Map& delta, const Map& totals, const typename Map::key_type& key,
+  static Flow Add(Map& table, const Map& base, const typename Map::key_type& key,
                   uint64_t Flow::*field, uint64_t items);
   void CheckDelivered(int shard, const Uid& stage, Tick at, const Flow& flow);
   // After a take (or, with `put_back`, a put-back) from the stage's buffers
@@ -245,17 +264,20 @@ class InvariantMonitor {
   // the put-back what was taken.
   void CheckTaken(int shard, const Uid& stage, Tick at, int band,
                   const Flow& flow, bool put_back);
-  // Held in the shard's delta until the next fold.
+  // Held in the shard's table until the next flush.
   void Report(int shard, Violation::Kind kind, Tick at, const Uid& stage,
               std::string detail);
   // Appends to violations() and emits into the trace sink.
   void Emit(Violation violation) const;
   static void Describe(const Violation& violation, Value& out);
+  Combined Combine() const;
+  // Check() over tables already combined.
+  std::vector<Violation> Check(const Combined& all) const;
 
-  // Folding moves reports from the deltas into the totals without changing
-  // any sum, so the const reads may do it.
-  mutable std::vector<Tables> deltas_ = std::vector<Tables>(1);
-  mutable Tables totals_;
+  std::vector<Tables> tables_ = std::vector<Tables>(1);  // one per shard
+  Tables base_;
+  // Flushing appends here, so the const reads may do it.
+  mutable std::vector<Violation> violations_;
   std::map<std::string, uint64_t, std::less<>> invocations_by_op_;
   std::map<std::string, uint64_t, std::less<>> expected_invocations_;
   // Last span id seen per origin (an InvocationId's high bits name the node

@@ -187,7 +187,7 @@ class Overserver : public Eject {
   explicit Overserver(Kernel& host) : Eject(host, "Overserver") {
     Register("Serve", [this](InvocationContext ctx) {
       if (InvariantMonitor* mon = kernel().monitor()) {
-        mon->OnServed(kernel().shard_index(), uid(), kernel().now(), 1);
+        mon->OnServed(kernel().HomeShard(node()), uid(), kernel().now(), 1);
       }
       ctx.Reply();
     });
