@@ -31,10 +31,10 @@ class CspForwarder : public Eject {
   Task<void> Run() {
     for (;;) {
       InvokeResult r = co_await Invoke(in_, "Receive", Value());
-      if (!r.ok() || r.value.Field("end").BoolOr(false)) {
+      if (!r.ok() || r.value().Field("end").BoolOr(false)) {
         break;
       }
-      (void)co_await Invoke(out_, "Send", Value().Set("item", r.value.Field("item")));
+      (void)co_await Invoke(out_, "Send", Value().Set("item", r.value().Field("item")));
     }
     (void)co_await Invoke(out_, "Close", Value());
   }
@@ -74,7 +74,7 @@ class CspConsumer : public Eject {
   Task<void> Run() {
     for (;;) {
       InvokeResult r = co_await Invoke(in_, "Receive", Value());
-      if (!r.ok() || r.value.Field("end").BoolOr(false)) {
+      if (!r.ok() || r.value().Field("end").BoolOr(false)) {
         break;
       }
       count_++;

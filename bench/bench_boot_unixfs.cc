@@ -38,7 +38,7 @@ void BM_BootstrapRoundTrip(benchmark::State& state) {
 
     InvokeResult opened = kernel.InvokeAndRun(
         ufs.uid(), "NewStream", Value().Set("path", Value("/in.f")));
-    Uid stream = *opened.value.Field("stream").AsUid();
+    Uid stream = *opened.value().Field("stream").AsUid();
 
     ReadOnlyFilter::Options filter_options;
     filter_options.source = stream;
@@ -57,7 +57,7 @@ void BM_BootstrapRoundTrip(benchmark::State& state) {
     InvokeResult used = kernel.InvokeAndRun(
         ufs.uid(), "UseStream",
         Value().Set("path", Value("/out.f")).Set("source", Value(strip.uid())));
-    Uid sink = *used.value.Field("file").AsUid();
+    Uid sink = *used.value().Field("file").AsUid();
     kernel.RunUntil([&] { return !kernel.IsActive(sink); });
     invocations = (kernel.stats() - before).invocations_sent;
     virtual_time = kernel.now() - start;

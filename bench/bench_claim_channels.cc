@@ -101,7 +101,7 @@ void BM_ForgeryRejection(benchmark::State& state) {
     for (int i = 0; i < attempts; ++i) {
       Value forged = Value(Uid(rng.Next(), rng.Next()));
       InvokeResult r = kernel.InvokeAndRun(source.uid(), "Transfer",
-                                           MakeTransferArgs(forged, 1));
+                                           TransferArgs{forged, 1});
       if (r.status.is(StatusCode::kNoSuchChannel)) {
         rejected++;
       }

@@ -163,8 +163,7 @@ void BM_OverloadControlLatency(benchmark::State& state) {
     kernel.ScheduleAction(kInjectAt, [&kernel, sink_uid] {
       kernel.ExternalInvoke(
           sink_uid, "Push",
-          MakePushArgs(Value(std::string(kChanIn)),
-                       {Value(std::string("ping"))}, false, Band::kControl),
+          PushArgs{Value(std::string(kChanIn)), {Value(std::string("ping"))}, false, Band::kControl},
           [](InvokeResult) {});
     });
     kernel.RunUntil([&handle] { return handle.done(); });

@@ -21,7 +21,8 @@ eden::Uid Begin(eden::Kernel& kernel, eden::TransactionManager& manager,
     args.Set("parent", eden::Value(*parent));
   }
   return kernel.InvokeAndRun(manager.uid(), "Begin", args)
-      .value.Field("txn")
+      .value()
+      .Field("txn")
       .UidOr(eden::Uid());
 }
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
   eden::InvokeResult opened = kernel.InvokeAndRun(
       ufs.uid(), "NewStream", eden::Value().Set("path", eden::Value("/usr/src/prog.f")));
-  eden::Uid stream = *opened.value.Field("stream").AsUid();
+  eden::Uid stream = *opened.value().Field("stream").AsUid();
 
   eden::ReadOnlyFilter::Options strip_options;
   strip_options.source = stream;

@@ -10,16 +10,18 @@ struct Batch {
 };
 
 Batch FetchOne(Kernel& kernel, Uid source, const Value& channel, int64_t max) {
-  InvokeResult r =
-      kernel.InvokeAndRun(source, std::string(kOpTransfer),
-                          MakeTransferArgs(channel, max));
+  InvokeResult r = kernel.InvokeAndRun(source, std::string(kOpTransfer),
+                                       TransferArgs{channel, max});
   Batch batch;
   batch.status = r.status;
-  if (r.ok()) {
-    if (const ValueList* items = r.value.Field(kFieldItems).AsList()) {
-      batch.items = *items;
-    }
-    batch.end = r.value.Field(kFieldEnd).BoolOr(false);
+  if (!r.ok()) {
+    return batch;
+  }
+  if (BatchReply* reply = r.As<BatchReply>()) {
+    batch.items = std::move(reply->items);
+    batch.end = reply->end;
+  } else {
+    batch.status = Status(StatusCode::kInvalidArgument, "Transfer reply is not a batch");
   }
   return batch;
 }
@@ -74,7 +76,7 @@ ConformanceReport CheckSourceConformance(Kernel& kernel, Uid source,
   if (options.check_unknown_channel) {
     InvokeResult bogus = kernel.InvokeAndRun(
         source, std::string(kOpTransfer),
-        MakeTransferArgs(Value("conformance-bogus-channel"), 1));
+        TransferArgs{Value("conformance-bogus-channel"), 1});
     if (!bogus.status.is(StatusCode::kNoSuchChannel)) {
       report.Violate("unknown channel answered " + bogus.status.ToString() +
                      " instead of NO_SUCH_CHANNEL");

@@ -4,16 +4,16 @@
 
 namespace eden {
 
-EmittedItems ApplyItem(Transform& transform, const Value& item) {
-  EmittedItems emitted;
+EmittedItems& ApplyItem(Transform& transform, const Value& item, EmittedItems& emitted) {
+  emitted.clear();
   transform.OnItem(item, [&emitted](std::string_view channel, Value v) {
     emitted.emplace_back(std::string(channel), std::move(v));
   });
   return emitted;
 }
 
-EmittedItems ApplyEnd(Transform& transform) {
-  EmittedItems emitted;
+EmittedItems& ApplyEnd(Transform& transform, EmittedItems& emitted) {
+  emitted.clear();
   transform.OnEnd([&emitted](std::string_view channel, Value v) {
     emitted.emplace_back(std::string(channel), std::move(v));
   });
@@ -118,7 +118,7 @@ Task<void> ReadOnlyFilter::Run() {
     if (options_.processing_cost > 0) {
       co_await Sleep(options_.processing_cost);
     }
-    for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
+    for (auto& [channel, value] : ApplyItem(*transform_, *item, emitted_)) {
       co_await server_.Write(channel, std::move(value));
     }
     if (transform_->Done()) {
@@ -134,7 +134,7 @@ Task<void> ReadOnlyFilter::Run() {
     server_.AbortAll(reader_.status());
     co_return;
   }
-  for (auto& [channel, value] : ApplyEnd(*transform_)) {
+  for (auto& [channel, value] : ApplyEnd(*transform_, emitted_)) {
     co_await server_.Write(channel, std::move(value));
   }
   server_.CloseAll();
@@ -233,7 +233,7 @@ Task<void> WriteOnlyFilter::Run() {
     if (options_.processing_cost > 0) {
       co_await Sleep(options_.processing_cost);
     }
-    for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
+    for (auto& [channel, value] : ApplyItem(*transform_, *item, emitted_)) {
       auto it = writers_.find(channel);
       if (it != writers_.end()) {
         co_await it->second->Write(std::move(value));
@@ -243,7 +243,7 @@ Task<void> WriteOnlyFilter::Run() {
       co_await DoCheckpoint();
     }
   }
-  for (auto& [channel, value] : ApplyEnd(*transform_)) {
+  for (auto& [channel, value] : ApplyEnd(*transform_, emitted_)) {
     auto it = writers_.find(channel);
     if (it != writers_.end()) {
       co_await it->second->Write(std::move(value));
@@ -341,7 +341,7 @@ Task<void> ConventionalFilter::Run() {
     if (options_.processing_cost > 0) {
       co_await Sleep(options_.processing_cost);
     }
-    for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
+    for (auto& [channel, value] : ApplyItem(*transform_, *item, emitted_)) {
       auto it = writers_.find(channel);
       if (it != writers_.end()) {
         co_await it->second->Write(std::move(value));
@@ -354,7 +354,7 @@ Task<void> ConventionalFilter::Run() {
       co_await DoCheckpoint();
     }
   }
-  for (auto& [channel, value] : ApplyEnd(*transform_)) {
+  for (auto& [channel, value] : ApplyEnd(*transform_, emitted_)) {
     auto it = writers_.find(channel);
     if (it != writers_.end()) {
       co_await it->second->Write(std::move(value));

@@ -37,8 +37,11 @@ namespace eden {
 // Items emitted by one Transform step, tagged with their channel.
 using EmittedItems = std::vector<std::pair<std::string, Value>>;
 
-EmittedItems ApplyItem(Transform& transform, const Value& item);
-EmittedItems ApplyEnd(Transform& transform);
+// One Transform step into `emitted`, cleared first; returns it. Each filter
+// keeps one buffer and drains it before its next step, so the buffer's
+// storage is reused rather than allocated per item.
+EmittedItems& ApplyItem(Transform& transform, const Value& item, EmittedItems& emitted);
+EmittedItems& ApplyEnd(Transform& transform, EmittedItems& emitted);
 
 // Shared fault-tolerance knobs for all three filter shapes.
 struct FilterRecoveryOptions {
@@ -109,6 +112,7 @@ class ReadOnlyFilter : public Eject {
   Task<void> DoCheckpoint();
 
   std::unique_ptr<Transform> transform_;
+  EmittedItems emitted_;  // one step's output, drained before the next
   Options options_;
   StreamReader reader_;
   StreamServer server_;
@@ -155,6 +159,7 @@ class WriteOnlyFilter : public Eject {
   Task<void> DoCheckpoint();
 
   std::unique_ptr<Transform> transform_;
+  EmittedItems emitted_;  // one step's output, drained before the next
   Options options_;
   StreamAcceptor acceptor_;
   std::map<std::string, std::unique_ptr<StreamWriter>> writers_;
@@ -196,6 +201,7 @@ class ConventionalFilter : public Eject {
   Task<void> DoCheckpoint();
 
   std::unique_ptr<Transform> transform_;
+  EmittedItems emitted_;  // one step's output, drained before the next
   Options options_;
   StreamReader reader_;
   std::map<std::string, std::unique_ptr<StreamWriter>> writers_;

@@ -4,17 +4,22 @@
 // designed to support the abstraction of a Sequence, together with a
 // collection of library routines which help user Ejects to obey it."
 //
-// Wire protocol (all payloads are Values):
+// Wire protocol. Transfer, Push and their replies are the typed records of
+// src/eden/message.h; each is charged the size of the canonical Value map
+// shown here (PROTOCOL.md). A Transfer or Push whose body is a Value is
+// answered kInvalidArgument. Every other op, OpenChannel included, carries
+// a Value.
 //
-//   Transfer  {chan, max:int}            ->  {items:[...], end:bool}
+//   Transfer  TransferArgs {chan, max:int}  ->  BatchReply {items:[...], end:bool}
 //     Active input / passive output. The receiver returns up to `max`
 //     queued items; if none are available and the stream is open, the reply
 //     is *withheld* (parked) — the "partial vacuum" of §4. `end:true`
 //     accompanies (or follows) the final items.
 //
-//   Push      {chan, items:[...], end:bool}  ->  {}
+//   Push      PushArgs {chan, items:[...], end:bool}  ->  PushAck {}
 //     Active output / passive input. The reply is the flow-control signal:
-//     it is withheld while the receiving buffer is above capacity.
+//     it is withheld while the receiving buffer is above capacity. An empty
+//     PushAck encodes as nil.
 //
 //   OpenChannel {name:str}               ->  {chan:uid}
 //     Mints an unforgeable capability for a named output channel (§5's
@@ -40,7 +45,8 @@
 // Flow-control extension (watermarks + priority bands, see PROTOCOL.md):
 //
 //   Push gains {band:int}: 0 = data (default, may be withheld by flow
-//   control), 1 = control (overtakes queued data and is never withheld).
+//   control; the field is then absent), 1 = control (overtakes queued data
+//   and is never withheld).
 //   Bands are FIFO within themselves; control items are delivered ahead of
 //   any data still queued at the receiver. Sequenced channels are
 //   single-band — positions define a total order that band overtaking would
@@ -55,6 +61,7 @@
 #include <string_view>
 
 #include "src/eden/clock.h"
+#include "src/eden/message.h"
 #include "src/eden/stats.h"
 #include "src/eden/status.h"
 #include "src/eden/value.h"
@@ -66,25 +73,9 @@ inline constexpr std::string_view kOpTransfer = "Transfer";
 inline constexpr std::string_view kOpPush = "Push";
 inline constexpr std::string_view kOpOpenChannel = "OpenChannel";
 
-// Argument / reply field names.
-inline constexpr std::string_view kFieldChannel = "chan";
-inline constexpr std::string_view kFieldMax = "max";
-inline constexpr std::string_view kFieldItems = "items";
-inline constexpr std::string_view kFieldEnd = "end";
+// OpenChannel's field; the stream records' field names and the priority
+// bands live with the records, in src/eden/message.h.
 inline constexpr std::string_view kFieldName = "name";
-// Sequenced channels only (fault tolerance; absent = classic protocol).
-inline constexpr std::string_view kFieldSeq = "seq";
-inline constexpr std::string_view kFieldAck = "ack";
-inline constexpr std::string_view kFieldNext = "next";
-// Priority band of a Push (absent = kBandData).
-inline constexpr std::string_view kFieldBand = "band";
-
-// Priority bands. Two are enough for the paper's needs: everything is data
-// except the control messages (end, checkpoint, reactivate) that must not
-// queue behind it.
-enum class Band : int { kData = 0, kControl = 1 };
-
-inline constexpr int BandIndex(Band band) { return static_cast<int>(band); }
 
 // Watermark pair governing one bounded queue (STREAMS mi_hiwat/mi_lowat in
 // miniature). Producers are blocked when the queue reaches `hiwat` and
@@ -146,6 +137,8 @@ class RetryBudget {
     stats_.retries++;
     return backoff_ > 0 ? backoff_ << (attempt_ - 1) : 0;
   }
+  // Whether the next failure is final: no retry is left to resend a payload.
+  bool exhausted() const { return attempt_ >= attempts_; }
   // Counts a recovery when a success or end-of-stream needed retries.
   void Settle(const Status& status) {
     if (attempt_ > 0 && status.ok_or_end()) {
@@ -166,59 +159,6 @@ class RetryBudget {
 inline constexpr std::string_view kChanOut = "out";
 inline constexpr std::string_view kChanIn = "in";
 inline constexpr std::string_view kChanReport = "report";
-
-inline Value MakeTransferArgs(Value channel, int64_t max) {
-  Value args;
-  args.Set(std::string(kFieldChannel), std::move(channel));
-  args.Set(std::string(kFieldMax), Value(max));
-  return args;
-}
-
-// Sequenced Transfer: ask for items starting at position `seq`; positions
-// below `ack` are durable at the caller and may be forgotten by the server.
-inline Value MakeTransferArgs(Value channel, int64_t max, uint64_t seq,
-                              uint64_t ack) {
-  Value args = MakeTransferArgs(std::move(channel), max);
-  args.Set(std::string(kFieldSeq), Value(seq));
-  args.Set(std::string(kFieldAck), Value(ack));
-  return args;
-}
-
-// Items travel on `band`. Data-band pushes omit the field (the classic wire
-// form stays byte-identical).
-inline Value MakePushArgs(Value channel, ValueList items, bool end,
-                          Band band = Band::kData) {
-  Value args;
-  args.Set(std::string(kFieldChannel), std::move(channel));
-  args.Set(std::string(kFieldItems), Value(std::move(items)));
-  args.Set(std::string(kFieldEnd), Value(end));
-  if (band != Band::kData) {
-    args.Set(std::string(kFieldBand), Value(static_cast<int64_t>(BandIndex(band))));
-  }
-  return args;
-}
-
-// Sequenced Push: the first item carried sits at position `seq`.
-inline Value MakePushArgs(Value channel, ValueList items, bool end,
-                          uint64_t seq) {
-  Value args = MakePushArgs(std::move(channel), std::move(items), end);
-  args.Set(std::string(kFieldSeq), Value(seq));
-  return args;
-}
-
-inline Value MakeBatchReply(ValueList items, bool end) {
-  Value reply;
-  reply.Set(std::string(kFieldItems), Value(std::move(items)));
-  reply.Set(std::string(kFieldEnd), Value(end));
-  return reply;
-}
-
-// Sequenced batch reply: the first item returned sits at position `seq`.
-inline Value MakeBatchReply(ValueList items, bool end, uint64_t seq) {
-  Value reply = MakeBatchReply(std::move(items), end);
-  reply.Set(std::string(kFieldSeq), Value(seq));
-  return reply;
-}
 
 }  // namespace eden
 

@@ -34,19 +34,20 @@ const StreamAcceptor::InChannel* StreamAcceptor::Find(std::string_view name) con
   return it == channels_.end() ? nullptr : &it->second;
 }
 
-Value StreamAcceptor::PushReply(const InChannel& channel) const {
+PushAck StreamAcceptor::PushReply(const InChannel& channel) const {
   if (!channel.sequenced) {
-    return Value();
+    return PushAck{};
   }
-  Value reply;
-  reply.Set(std::string(kFieldAck),
-            Value(channel.explicit_durable ? channel.durable : channel.consumed));
-  reply.Set(std::string(kFieldNext), Value(channel.next_seq));
-  return reply;
+  return PushAck{channel.explicit_durable ? channel.durable : channel.consumed,
+                 channel.next_seq};
 }
 
 void StreamAcceptor::HandlePush(InvocationContext ctx) {
-  std::optional<std::string> name = table_.Resolve(ctx.Arg(kFieldChannel));
+  PushArgs* args = ctx.RecordOrReject<PushArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  std::optional<std::string> name = table_.Resolve(args->channel);
   if (!name) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel identifier");
     return;
@@ -54,31 +55,27 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   InChannel* ch = Find(*name);
   assert(ch != nullptr);
   pushes_received_++;
-  const ValueList* items = ctx.Arg(kFieldItems).AsList();
-  size_t count = items == nullptr ? 0 : items->size();
-  Band band = ch->BandOf(ctx.Arg(kFieldBand).IntOr(0) != 0 ? Band::kControl
-                                                          : Band::kData);
+  ValueList& items = args->items;
+  size_t count = items.size();
+  Band band = ch->BandOf(args->band);
   size_t skip = 0;
-  if (ch->sequenced) {
-    int64_t seq = ctx.Arg(kFieldSeq).IntOr(-1);
-    if (seq >= 0) {
-      uint64_t s = static_cast<uint64_t>(seq);
-      if (s > ch->next_seq) {
-        // Gap: a push we never saw carried positions [next_seq, s). Refuse —
-        // ingesting would reorder the stream — and reply immediately so the
-        // sender learns where to rewind to.
-        ctx.Reply(PushReply(*ch));
-        return;
-      }
-      // Duplicate prefix from a retrying sender: take only what is new.
-      skip = std::min<size_t>(ch->next_seq - s, count);
-      if (skip > 0) {
-        owner_.kernel().stats().redeliveries_dropped += skip;
-      }
+  if (ch->sequenced && args->seq) {
+    uint64_t s = *args->seq;
+    if (s > ch->next_seq) {
+      // Gap: a push we never saw carried positions [next_seq, s). Refuse —
+      // ingesting would reorder the stream — and reply immediately so the
+      // sender learns where to rewind to.
+      ctx.Reply(PushReply(*ch));
+      return;
+    }
+    // Duplicate prefix from a retrying sender: take only what is new.
+    skip = std::min<size_t>(ch->next_seq - s, count);
+    if (skip > 0) {
+      owner_.kernel().stats().redeliveries_dropped += skip;
     }
   }
   for (size_t i = skip; i < count; ++i) {
-    ch->Append((*items)[i], band);
+    ch->Append(std::move(items[i]), band);
     ch->next_seq++;
     items_received_++;
   }
@@ -93,7 +90,7 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     }
   }
   ch->ReportDepth();
-  if (ctx.Arg(kFieldEnd).BoolOr(false)) {
+  if (args->end) {
     ch->ended = true;
   }
   // Deferred service: wake a blocked consumer once, at the next event, so a

@@ -125,7 +125,7 @@ class StreamAcceptor {
   void ReleaseWithheld(InChannel& channel);
   // The flow-control reply payload: empty for classic channels; {ack, next}
   // for sequenced ones.
-  Value PushReply(const InChannel& channel) const;
+  PushAck PushReply(const InChannel& channel) const;
 
   InChannel* Find(std::string_view name);
   const InChannel* Find(std::string_view name) const;

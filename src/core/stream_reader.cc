@@ -24,11 +24,11 @@ void StreamReader::Ingest(InvokeResult result) {
     ended_ = true;
     return;
   }
-  // The reply is ours: its items move into the buffer, uncopied.
-  ValueList* items = nullptr;
-  if (ValueMap* fields = result.value.AsMap()) {
-    auto it = fields->find(std::string(kFieldItems));
-    items = it != fields->end() ? it->second.AsList() : nullptr;
+  BatchReply* batch = result.As<BatchReply>();
+  if (batch == nullptr) {
+    status_ = Status(StatusCode::kInvalidArgument, "Transfer reply is not a batch");
+    ended_ = true;
+    return;
   }
   size_t skip = 0;
   if (options_.sequenced) {
@@ -37,8 +37,7 @@ void StreamReader::Ingest(InvokeResult result) {
     // regenerating items we already have) — drop it. A reply *ahead* of our
     // position would mean the source lost items we never saw; that cannot
     // be repaired, so fail loudly rather than deliver a gapped stream.
-    uint64_t reply_seq =
-        static_cast<uint64_t>(result.value.Field(kFieldSeq).IntOr(next_seq_));
+    uint64_t reply_seq = batch->seq.value_or(next_seq_);
     if (reply_seq > next_seq_) {
       status_ = Status(StatusCode::kInternal,
                        "stream gap: source skipped past our position");
@@ -47,25 +46,25 @@ void StreamReader::Ingest(InvokeResult result) {
     }
     skip = next_seq_ - reply_seq;
   }
-  if (items != nullptr) {
-    size_t dropped = std::min(skip, items->size());
-    if (dropped > 0) {
-      owner_.kernel().stats().redeliveries_dropped += dropped;
-    }
-    for (size_t i = dropped; i < items->size(); ++i) {
-      buffer_.push_back(std::move((*items)[i]));
-      next_seq_++;
-    }
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      // Fresh items only: the duplicate prefix was counted when it first
-      // arrived, so the pull edge accounts exactly once per item.
-      if (items->size() > dropped) {
-        mon->OnPulled(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), source_,
-                      owner_.kernel().now(), items->size() - dropped);
-      }
+  // The reply is ours: its items move into the buffer, uncopied.
+  ValueList& items = batch->items;
+  size_t dropped = std::min(skip, items.size());
+  if (dropped > 0) {
+    owner_.kernel().stats().redeliveries_dropped += dropped;
+  }
+  for (size_t i = dropped; i < items.size(); ++i) {
+    buffer_.push_back(std::move(items[i]));
+    next_seq_++;
+  }
+  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
+    // Fresh items only: the duplicate prefix was counted when it first
+    // arrived, so the pull edge accounts exactly once per item.
+    if (items.size() > dropped) {
+      mon->OnPulled(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), source_,
+                    owner_.kernel().now(), items.size() - dropped);
     }
   }
-  if (result.value.Field(kFieldEnd).BoolOr(false)) {
+  if (batch->end) {
     ended_ = true;
     if (status_.ok()) {
       status_ = Status(StatusCode::kEndOfStream);
@@ -79,9 +78,11 @@ Task<void> StreamReader::FetchOnce() {
   RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
                     options_.retry_backoff);
   for (;;) {
-    Value args = options_.sequenced
-                     ? MakeTransferArgs(channel_, options_.batch, next_seq_, ack())
-                     : MakeTransferArgs(channel_, options_.batch);
+    TransferArgs args{channel_, options_.batch};
+    if (options_.sequenced) {
+      args.seq = next_seq_;
+      args.ack = ack();
+    }
     InvokeResult result =
         co_await owner_.Invoke(source_, std::string(kOpTransfer), std::move(args),
                                options_.deadline);

@@ -234,9 +234,11 @@ void StreamServer::Pump(OutChannel& channel) {
     if (redelivered) {
       owner_.kernel().stats().redeliveries++;
     }
-    request.reply.Reply(channel.sequenced
-                            ? MakeBatchReply(std::move(items), end, first)
-                            : MakeBatchReply(std::move(items), end));
+    BatchReply reply{std::move(items), end};
+    if (channel.sequenced) {
+      reply.seq = first;
+    }
+    request.reply.Reply(std::move(reply));
   }
   channel.ReportDepth();
   // Back-enable the producer under the lowat rule: closed channels and
@@ -259,16 +261,20 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
       on_first_demand_();
     }
   }
-  std::optional<std::string> name = table_.Resolve(ctx.Arg(kFieldChannel));
+  const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  std::optional<std::string> name = table_.Resolve(args->channel);
   if (!name) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel identifier");
     return;
   }
   OutChannel* ch = Find(*name);
   assert(ch != nullptr);
-  if (ch->sequenced && ctx.args().HasField(kFieldAck)) {
+  if (ch->sequenced && args->ack) {
     // Positions below the caller's durable mark can never be re-requested.
-    uint64_t ack = static_cast<uint64_t>(ctx.Arg(kFieldAck).IntOr(0));
+    uint64_t ack = *args->ack;
     while (ch->replay_base < ack && !ch->replay.empty()) {
       ch->replay.pop_front();
       ch->replay_base++;
@@ -279,8 +285,8 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
     }
   }
   Parked parked;
-  parked.max = ctx.Arg(kFieldMax).IntOr(1);
-  parked.seq = ctx.Arg(kFieldSeq).IntOr(-1);
+  parked.max = args->max;
+  parked.seq = args->seq ? static_cast<int64_t>(*args->seq) : -1;
   parked.reply = ctx.TakeReply();
   ch->parked.push_back(std::move(parked));
   Pump(*ch);

@@ -31,10 +31,11 @@ Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
                     options_.retry_backoff);
   for (;;) {
     pushes_sent_++;
-    // `items` is copied per attempt so a retry resends the same payload.
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush), MakePushArgs(channel_, items, end, band),
-        options_.deadline);
+    // While a retry remains, `items` is copied so the retry resends the same
+    // payload; the last attempt moves it.
+    PushArgs args{channel_, retry.exhausted() ? std::move(items) : items, end, band};
+    InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush),
+                                                 std::move(args), options_.deadline);
     if (std::optional<Tick> delay = retry.Next(result.status)) {
       if (*delay > 0) {
         co_await owner_.Sleep(*delay);
@@ -66,9 +67,10 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
       }
     }
     sent_high_ = std::max(sent_high_, first + count);
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush),
-        MakePushArgs(channel_, std::move(items), end, first), options_.deadline);
+    PushArgs args{channel_, std::move(items), end};
+    args.seq = first;
+    InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush),
+                                                 std::move(args), options_.deadline);
     if (std::optional<Tick> delay = retry.Next(result.status)) {
       if (*delay > 0) {
         co_await owner_.Sleep(*delay);
@@ -80,10 +82,13 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
       co_return status_;
     }
     retry.Settle(result.status);
-    uint64_t next = static_cast<uint64_t>(
-        result.value.Field(kFieldNext).IntOr(static_cast<int64_t>(first + count)));
-    uint64_t ack = static_cast<uint64_t>(
-        result.value.Field(kFieldAck).IntOr(static_cast<int64_t>(replay_base_)));
+    const PushAck* reply = result.As<PushAck>();
+    if (reply == nullptr) {
+      status_ = Status(StatusCode::kInvalidArgument, "Push reply is not an ack");
+      co_return status_;
+    }
+    uint64_t next = reply->next.value_or(first + count);
+    uint64_t ack = reply->ack.value_or(replay_base_);
     if (next < replay_base_) {
       // The receiver wants items we have already discarded as durable —
       // its state regressed below its own advertised ack. Unrecoverable.

@@ -176,13 +176,17 @@ Task<void> NullSink::Drain() {
 
 ClockSource::ClockSource(Kernel& kernel) : Eject(kernel, kType) {
   Register("Transfer", [this](InvocationContext ctx) {
-    int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+    const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+    if (args == nullptr) {
+      return;
+    }
+    int64_t max = std::max<int64_t>(args->max, 1);
     ValueList items;
     for (int64_t i = 0; i < max; ++i) {
       items.push_back(Value("tick " + std::to_string(kernel_.now())));
     }
     reads_served_++;
-    ctx.Reply(MakeBatchReply(std::move(items), /*end=*/false));
+    ctx.Reply(BatchReply{std::move(items), /*end=*/false});
   });
 }
 
@@ -217,7 +221,11 @@ RandomSource::RandomSource(Kernel& kernel, uint64_t seed, uint64_t total,
                            int words_per_line)
     : Eject(kernel, kType), rng_(seed), total_(total), words_per_line_(words_per_line) {
   Register("Transfer", [this](InvocationContext ctx) {
-    int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+    const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+    if (args == nullptr) {
+      return;
+    }
+    int64_t max = std::max<int64_t>(args->max, 1);
     ValueList items;
     while (max-- > 0 && (total_ == 0 || served_ < total_)) {
       std::string line;
@@ -231,7 +239,7 @@ RandomSource::RandomSource(Kernel& kernel, uint64_t seed, uint64_t total,
       served_++;
     }
     bool end = total_ != 0 && served_ >= total_;
-    ctx.Reply(MakeBatchReply(std::move(items), end));
+    ctx.Reply(BatchReply{std::move(items), end});
   });
 }
 

@@ -26,15 +26,6 @@ void PutVarint(uint64_t v, Bytes& out) {
   out.push_back(static_cast<uint8_t>(v));
 }
 
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 bool GetVarint(const uint8_t*& p, const uint8_t* end, uint64_t& out) {
   uint64_t v = 0;
   int shift = 0;
@@ -136,6 +127,15 @@ void Codec::EncodeInto(const Value& value, Bytes& out) {
   }
 }
 
+size_t Codec::VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 Bytes Codec::Encode(const Value& value) {
   Bytes out;
   out.reserve(EncodedSize(value));
@@ -147,10 +147,10 @@ size_t Codec::EncodedSize(const Value& value) {
   switch (value.kind()) {
     case Value::Kind::kNil:
     case Value::Kind::kBool:
-      return 1;
+      return kBoolSize;
     case Value::Kind::kInt:
     case Value::Kind::kReal:
-      return 9;
+      return kIntSize;
     case Value::Kind::kStr: {
       size_t n = value.AsStr()->size();
       return 1 + VarintSize(n) + n;
@@ -161,24 +161,32 @@ size_t Codec::EncodedSize(const Value& value) {
     }
     case Value::Kind::kUid:
       return 17;
-    case Value::Kind::kList: {
-      const ValueList& l = *value.AsList();
-      size_t n = 1 + VarintSize(l.size());
-      for (const Value& v : l) {
-        n += EncodedSize(v);
-      }
-      return n;
-    }
+    case Value::Kind::kList:
+      return EncodedSize(*value.AsList());
     case Value::Kind::kMap: {
       const ValueMap& m = *value.AsMap();
-      size_t n = 1 + VarintSize(m.size());
+      size_t n = MapHeaderSize(m.size());
       for (const auto& [k, v] : m) {
-        n += VarintSize(k.size()) + k.size() + EncodedSize(v);
+        n += MapEntrySize(k, EncodedSize(v));
       }
       return n;
     }
   }
   return 0;
+}
+
+size_t Codec::MapHeaderSize(size_t entries) { return 1 + VarintSize(entries); }
+
+size_t Codec::MapEntrySize(std::string_view key, size_t value_size) {
+  return VarintSize(key.size()) + key.size() + value_size;
+}
+
+size_t Codec::EncodedSize(const ValueList& list) {
+  size_t n = 1 + VarintSize(list.size());
+  for (const Value& v : list) {
+    n += EncodedSize(v);
+  }
+  return n;
 }
 
 bool Codec::DecodeOne(const uint8_t*& p, const uint8_t* end, Value& out, int depth) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/eden/value.h"
@@ -34,8 +35,19 @@ class Codec {
 
   // Size of Encode(value) without materializing it.
   static size_t EncodedSize(const Value& value);
+  // Size of a list's encoding (tag, count, items).
+  static size_t EncodedSize(const ValueList& list);
+
+  // The map encoding's parts, for a record charged as the map it stands for
+  // (src/eden/message.h): the tag and entry count, and one entry whose value
+  // encodes in `value_size` bytes.
+  static size_t MapHeaderSize(size_t entries);
+  static size_t MapEntrySize(std::string_view key, size_t value_size);
+  static constexpr size_t kBoolSize = 1;
+  static constexpr size_t kIntSize = 9;
 
  private:
+  static size_t VarintSize(uint64_t v);
   static bool DecodeOne(const uint8_t*& p, const uint8_t* end, Value& out, int depth);
 };
 

@@ -53,7 +53,7 @@ class Eject {
 
   // Awaitables bound to this Eject. A nonzero `deadline` makes the await
   // resume with kDeadlineExceeded if no reply is sent within that many ticks.
-  InvokeAwaiter Invoke(Uid target, std::string op, Value args = Value(),
+  InvokeAwaiter Invoke(Uid target, std::string op, Body args = Value(),
                        Tick deadline = 0) {
     return kernel_.Invoke(*this, target, std::move(op), std::move(args), deadline);
   }

@@ -112,11 +112,11 @@ ReplyHandle::~ReplyHandle() {
   }
 }
 
-void ReplyHandle::Reply(Value result) {
+void ReplyHandle::Reply(Body&& result) {
   ReplyStatus(Status::Ok(), std::move(result));
 }
 
-void ReplyHandle::ReplyStatus(Status status, Value result) {
+void ReplyHandle::ReplyStatus(Status status, Body&& result) {
   if (kernel_ != nullptr) {
     Kernel* k = std::exchange(kernel_, nullptr);
     k->SendReply(id_, std::move(status), std::move(result));
@@ -142,7 +142,7 @@ void InvokeAwaiter::await_suspend(std::coroutine_handle<> h) {
   wait.caller_epoch = kernel_.SlotAt(wait.caller_ref).epoch;
   wait.awaiter = this;
   wait.waiter = h;
-  kernel_.SendInvocation(target_, std::move(op_), std::move(args_), std::move(wait),
+  kernel_.SendInvocation(target_, std::move(op_), std::move(result_.body), std::move(wait),
                          deadline_);
 }
 
@@ -419,11 +419,11 @@ void ServiceProc::Schedule() {
 // ------------------------------------------------------------------ invocation
 
 InvokeAwaiter Kernel::Invoke(const Eject& from, Uid target, std::string op,
-                             Value args, Tick deadline) {
+                             Body&& args, Tick deadline) {
   return InvokeAwaiter(*this, from, target, std::move(op), std::move(args), deadline);
 }
 
-void Kernel::ExternalInvoke(Uid target, std::string op, Value args,
+void Kernel::ExternalInvoke(Uid target, std::string op, Body&& args,
                             std::function<void(InvokeResult)> callback) {
   WaitRecord wait;  // nil caller, driver ref: external
   wait.callback = std::move(callback);
@@ -431,7 +431,7 @@ void Kernel::ExternalInvoke(Uid target, std::string op, Value args,
                  /*deadline=*/0);
 }
 
-InvokeResult Kernel::InvokeAndRun(Uid target, std::string op, Value args) {
+InvokeResult Kernel::InvokeAndRun(Uid target, std::string op, Body args) {
   bool done = false;
   InvokeResult result;
   ExternalInvoke(target, std::move(op), std::move(args), [&](InvokeResult r) {
@@ -453,7 +453,7 @@ void Kernel::SpawnExternal(Task<void> task) {
   ScheduleResume(nullptr, h);
 }
 
-void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord wait,
+void Kernel::SendInvocation(Uid target, std::string op, Body&& args, WaitRecord wait,
                             Tick deadline) {
   const Uid from = wait.caller;
   NodeId caller_node = wait.caller_ref.node;
@@ -461,7 +461,7 @@ void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord w
   NodeId target_node = target_ref.node;
   NodeBook& book = BookFor(caller_node);
   InvocationId id = MakeInvocationId(caller_node, ++book.invocation_seq);
-  size_t bytes = kMessageHeaderBytes + op.size() + Codec::EncodedSize(args);
+  size_t bytes = kMessageHeaderBytes + op.size() + EncodedSize(args);
   stats_.invocations_sent.fetch_add(1, std::memory_order_relaxed);
   stats_.invocation_bytes.fetch_add(bytes, std::memory_order_relaxed);
 
@@ -520,7 +520,7 @@ void Kernel::SendInvocation(Uid target, std::string op, Value args, WaitRecord w
 }
 
 void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
-                               Value args) {
+                               Body&& args) {
   Uid target = route.target;
   EjectRef ref = route.target_ref;
   Shard& shard = *shards_[ShardOf(ref.node)];
@@ -551,7 +551,7 @@ void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op
             Value());
 }
 
-void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
+void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Body&& args) {
   // Running on the target's shard; the parked route tells us whether anyone
   // still cares (a same-node deadline clears it along with the wait).
   Shard& shard = *tls_ctx_.shard;
@@ -594,7 +594,7 @@ void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
   DispatchTo(*eject, id, std::move(op), std::move(args));
 }
 
-void Kernel::DispatchTo(Eject& eject, InvocationId id, std::string op, Value args) {
+void Kernel::DispatchTo(Eject& eject, InvocationId id, std::string op, Body&& args) {
   // The handler runs under its own invocation's span; anything it sends (or
   // schedules — see ScheduleResume) becomes a child of this invocation.
   InvocationId prev = std::exchange(tls_ctx_.span, id);
@@ -603,7 +603,7 @@ void Kernel::DispatchTo(Eject& eject, InvocationId id, std::string op, Value arg
   tls_ctx_.span = prev;
 }
 
-void Kernel::SendReply(InvocationId id, Status status, Value result) {
+void Kernel::SendReply(InvocationId id, Status status, Body&& result) {
   if (shutting_down_) {
     return;
   }
@@ -631,7 +631,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     }
   }
 
-  size_t bytes = kMessageHeaderBytes + Codec::EncodedSize(result);
+  size_t bytes = kMessageHeaderBytes + EncodedSize(result);
   stats_.replies_sent.fetch_add(1, std::memory_order_relaxed);
   stats_.reply_bytes.fetch_add(bytes, std::memory_order_relaxed);
   if (!status.ok_or_end()) {
@@ -692,7 +692,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
              });
 }
 
-void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
+void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Body&& result) {
   // The caller resumes inside *its* span (the one it was serving when it
   // invoked), not inside the replying invocation's span.
   InvocationId prev = std::exchange(tls_ctx_.span, wait.parent);
@@ -711,7 +711,7 @@ void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
   tls_ctx_.span = prev;
 }
 
-void Kernel::DeliverRemoteReply(InvocationId id, Status status, Value result) {
+void Kernel::DeliverRemoteReply(InvocationId id, Status status, Body&& result) {
   // Running on the caller's shard.
   Shard& shard = *tls_ctx_.shard;
   auto it = shard.waits.find(id);

@@ -92,8 +92,8 @@ class ReplyHandle {
   // The invocation this handle will answer — also its causal span id.
   InvocationId id() const { return id_; }
 
-  void Reply(Value result = Value());
-  void ReplyStatus(Status status, Value result = Value());
+  void Reply(Body&& result = Value());
+  void ReplyStatus(Status status, Body&& result = Value());
   void ReplyError(StatusCode code, std::string message = "");
 
  private:
@@ -107,17 +107,29 @@ class ReplyHandle {
 // the identity of the invoker" (paper §5).
 class InvocationContext {
  public:
-  InvocationContext(std::string op, Value args, ReplyHandle reply)
+  InvocationContext(std::string op, Body&& args, ReplyHandle reply)
       : op_(std::move(op)), args_(std::move(args)), reply_(std::move(reply)) {}
   InvocationContext(InvocationContext&&) = default;
   InvocationContext& operator=(InvocationContext&&) = default;
 
   const std::string& op() const { return op_; }
-  const Value& args() const { return args_; }
-  const Value& Arg(std::string_view key) const { return args_.Field(key); }
+  // The arguments of an ordinary op; nil when they are a stream record.
+  const Value& args() const { return BodyValue(args_); }
+  const Value& Arg(std::string_view key) const { return args().Field(key); }
+  // The arguments as record R (owned by this context: a handler may move
+  // out of it), or null after answering kInvalidArgument. An op that takes
+  // a record has that one wire form.
+  template <typename R>
+  R* RecordOrReject() {
+    R* record = std::get_if<R>(&args_);
+    if (record == nullptr) {
+      ReplyError(StatusCode::kInvalidArgument, op_ + " takes a typed record");
+    }
+    return record;
+  }
 
-  void Reply(Value result = Value()) { reply_.Reply(std::move(result)); }
-  void ReplyStatus(Status status, Value result = Value()) {
+  void Reply(Body&& result = Value()) { reply_.Reply(std::move(result)); }
+  void ReplyStatus(Status status, Body&& result = Value()) {
     reply_.ReplyStatus(std::move(status), std::move(result));
   }
   void ReplyError(StatusCode code, std::string message = "") {
@@ -129,7 +141,7 @@ class InvocationContext {
 
  private:
   std::string op_;
-  Value args_;
+  Body args_;
   ReplyHandle reply_;
 };
 
@@ -141,13 +153,13 @@ class InvocationContext {
 class [[nodiscard]] InvokeAwaiter {
  public:
   InvokeAwaiter(Kernel& kernel, const Eject& from, Uid target, std::string op,
-                Value args, Tick deadline = 0)
+                Body&& args, Tick deadline = 0)
       : kernel_(kernel),
         from_(from),
         target_(target),
         op_(std::move(op)),
-        args_(std::move(args)),
-        deadline_(deadline) {}
+        deadline_(deadline),
+        result_{Status(), std::move(args)} {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h);
@@ -159,8 +171,9 @@ class [[nodiscard]] InvokeAwaiter {
   const Eject& from_;
   Uid target_;
   std::string op_;
-  Value args_;
   Tick deadline_ = 0;
+  // The body holds the arguments until they are sent, then the reply: one
+  // body per suspended caller.
   InvokeResult result_;
 };
 
@@ -278,13 +291,17 @@ class Kernel {
 
   // ---- Invocation.
   // `deadline` of 0 means wait forever (the classic Eden semantics).
+  // `args` is a Value, or the stream record Transfer or Push takes
+  // (message.h); the kernel charges its EncodedSize and hands it over as is.
+  // From a coroutine, pass a record as a named variable: GCC 12 destroys a
+  // braced temporary inside a co_await expression twice.
   InvokeAwaiter Invoke(const Eject& from, Uid target, std::string op,
-                       Value args = Value(), Tick deadline = 0);
+                       Body&& args, Tick deadline = 0);
   // Invocation from outside the simulated system (test drivers, examples).
-  void ExternalInvoke(Uid target, std::string op, Value args,
+  void ExternalInvoke(Uid target, std::string op, Body&& args,
                       std::function<void(InvokeResult)> callback);
   // Convenience: external invoke, then run until the reply arrives.
-  InvokeResult InvokeAndRun(Uid target, std::string op, Value args = Value());
+  InvokeResult InvokeAndRun(Uid target, std::string op, Body args = Value());
 
   // Detached coroutine owned by the kernel's external driver (nil host UID:
   // survives until kernel destruction).
@@ -449,7 +466,7 @@ class Kernel {
   }
 
   // Reply path; no-op if `id` is unknown (double reply, crashed caller).
-  void SendReply(InvocationId id, Status status, Value result);
+  void SendReply(InvocationId id, Status status, Body&& result);
 
  private:
   friend class InvokeAwaiter;
@@ -599,14 +616,16 @@ class Kernel {
   // and routes to `exec`'s shard — directly, or via the outbox when called
   // from a parallel worker targeting another shard.
   void ScheduleOn(NodeId exec, Tick at, EventQueue::Action action);
-  void SendInvocation(Uid target, std::string op, Value args, WaitRecord wait,
+  // Bodies pass by rvalue reference, so a body moves once per event (into
+  // the event's capture), not once per call layer.
+  void SendInvocation(Uid target, std::string op, Body&& args, WaitRecord wait,
                       Tick deadline);
   void DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
-                         Value args);
-  void DispatchTo(Eject& eject, InvocationId id, std::string op, Value args);
-  void ActivateThenDispatch(InvocationId id, std::string op, Value args);
-  void DeliverReplyToWait(WaitRecord wait, Status status, Value result);
-  void DeliverRemoteReply(InvocationId id, Status status, Value result);
+                         Body&& args);
+  void DispatchTo(Eject& eject, InvocationId id, std::string op, Body&& args);
+  void ActivateThenDispatch(InvocationId id, std::string op, Body&& args);
+  void DeliverReplyToWait(WaitRecord wait, Status status, Body&& result);
+  void DeliverRemoteReply(InvocationId id, Status status, Body&& result);
   void FireDeadline(InvocationId id);
   void TearDown(const Uid& uid, bool is_crash);
   void FailDeliveredPendingFor(Shard& shard, const Uid& target);

@@ -77,7 +77,7 @@ ValueMap* Value::AsMap() { return std::get_if<ValueMap>(&rep_); }
 
 const Value& Value::Field(std::string_view key) const {
   if (const ValueMap* m = AsMap()) {
-    auto it = m->find(std::string(key));
+    auto it = m->find(key);
     if (it != m->end()) {
       return it->second;
     }
@@ -87,7 +87,7 @@ const Value& Value::Field(std::string_view key) const {
 
 bool Value::HasField(std::string_view key) const {
   const ValueMap* m = AsMap();
-  return m != nullptr && m->count(std::string(key)) > 0;
+  return m != nullptr && m->count(key) > 0;
 }
 
 Value& Value::Set(std::string key, Value v) {

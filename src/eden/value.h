@@ -25,8 +25,9 @@ namespace eden {
 class Value;
 
 using ValueList = std::vector<Value>;
-// Ordered map keeps encoding canonical (checkpoint hashes are stable).
-using ValueMap = std::map<std::string, Value>;
+// Ordered map keeps encoding canonical (checkpoint hashes are stable). The
+// transparent comparator looks keys up by string_view, building no string.
+using ValueMap = std::map<std::string, Value, std::less<>>;
 using Bytes = std::vector<uint8_t>;
 
 class Value {

@@ -12,7 +12,11 @@ namespace {
 // directory and the concatenator.
 void ServeListing(std::map<Uid, std::vector<std::string>>& listings,
                   InvocationContext& ctx) {
-  auto uid = ctx.Arg(kFieldChannel).AsUid();
+  const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  auto uid = args->channel.AsUid();
   if (!uid) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "List first, then Transfer");
     return;
@@ -22,7 +26,7 @@ void ServeListing(std::map<Uid, std::vector<std::string>>& listings,
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown listing session");
     return;
   }
-  int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+  int64_t max = std::max<int64_t>(args->max, 1);
   ValueList items;
   std::vector<std::string>& lines = it->second;
   size_t take = std::min<size_t>(static_cast<size_t>(max), lines.size());
@@ -34,7 +38,7 @@ void ServeListing(std::map<Uid, std::vector<std::string>>& listings,
   if (end) {
     listings.erase(it);
   }
-  ctx.Reply(MakeBatchReply(std::move(items), end));
+  ctx.Reply(BatchReply{std::move(items), end});
 }
 
 }  // namespace
@@ -155,7 +159,7 @@ Task<void> DirectoryConcatenator::HandleLookup(InvocationContext ctx) {
   for (const Uid& directory : directories_) {
     InvokeResult result = co_await Invoke(directory, "Lookup", args);
     if (result.ok()) {
-      ctx.Reply(std::move(result.value));
+      ctx.Reply(std::move(result.body));
       co_return;
     }
     if (!result.status.is(StatusCode::kNotFound)) {
@@ -174,7 +178,7 @@ Task<void> DirectoryConcatenator::HandleList(InvocationContext ctx) {
     if (!opened.ok()) {
       continue;  // a vanished directory simply contributes nothing
     }
-    Value channel = opened.value.Field(kFieldChannel);
+    Value channel = opened.value().Field(kFieldChannel);
     StreamReader reader(*this, directory, channel, StreamReader::Options{8, 0});
     for (;;) {
       std::optional<Value> line = co_await reader.Next();

@@ -74,7 +74,11 @@ std::string FileEject::ContentsAsText() const {
 }
 
 void FileEject::HandleTransfer(InvocationContext ctx) {
-  const Value& wire = ctx.Arg(kFieldChannel);
+  const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  const Value& wire = args->channel;
   size_t* cursor = nullptr;
   bool is_session = false;
   if (auto uid = wire.AsUid()) {
@@ -92,7 +96,7 @@ void FileEject::HandleTransfer(InvocationContext ctx) {
     return;
   }
 
-  int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+  int64_t max = std::max<int64_t>(args->max, 1);
   ValueList items;
   while (max-- > 0 && *cursor < lines_.size()) {
     items.push_back(Value(lines_[(*cursor)++]));
@@ -105,7 +109,7 @@ void FileEject::HandleTransfer(InvocationContext ctx) {
       shared_cursor_ = 0;  // the shared channel rewinds for the next reader
     }
   }
-  ctx.Reply(MakeBatchReply(std::move(items), end));
+  ctx.Reply(BatchReply{std::move(items), end});
 }
 
 void FileEject::HandleOpen(InvocationContext ctx) {

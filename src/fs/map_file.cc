@@ -84,7 +84,11 @@ void MapFileEject::HandleWriteAt(InvocationContext ctx) {
 }
 
 void MapFileEject::HandleTransfer(InvocationContext ctx) {
-  const Value& wire = ctx.Arg(kFieldChannel);
+  const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  const Value& wire = args->channel;
   size_t* cursor = nullptr;
   bool is_session = false;
   if (auto uid = wire.AsUid()) {
@@ -101,7 +105,7 @@ void MapFileEject::HandleTransfer(InvocationContext ctx) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel identifier");
     return;
   }
-  int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+  int64_t max = std::max<int64_t>(args->max, 1);
   ValueList items;
   while (max-- > 0 && *cursor < records_.size()) {
     items.push_back(records_[(*cursor)++]);
@@ -114,7 +118,7 @@ void MapFileEject::HandleTransfer(InvocationContext ctx) {
       shared_cursor_ = 0;
     }
   }
-  ctx.Reply(MakeBatchReply(std::move(items), end));
+  ctx.Reply(BatchReply{std::move(items), end});
 }
 
 }  // namespace eden

@@ -34,7 +34,7 @@ Task<ResolveResult> ResolvePath(Eject& self, Uid root, std::string path) {
     if (!result.ok()) {
       co_return ResolveResult{std::move(result.status), Uid()};
     }
-    auto next = result.value.Field("uid").AsUid();
+    auto next = result.value().Field("uid").AsUid();
     if (!next) {
       co_return ResolveResult{Status(StatusCode::kInternal, "Lookup reply lacked uid"),
                               Uid()};
@@ -57,7 +57,7 @@ ResolveResult ResolvePathBlocking(Kernel& kernel, Uid root,
     if (!result.ok()) {
       return ResolveResult{std::move(result.status), Uid()};
     }
-    auto next = result.value.Field("uid").AsUid();
+    auto next = result.value().Field("uid").AsUid();
     if (!next) {
       return ResolveResult{Status(StatusCode::kInternal, "Lookup reply lacked uid"),
                            Uid()};

@@ -100,7 +100,7 @@ TFile::TFile(Kernel& kernel, std::string initial_text) : Eject(kernel, kType) {
     for (const Uid& txn : prepared) {
       InvokeResult r = co_await Invoke(*manager, "Status",
                                        Value().Set("txn", Value(txn)));
-      bool committed = r.ok() && r.value.Field("state").StrOr("") == "committed";
+      bool committed = r.ok() && r.value().Field("state").StrOr("") == "committed";
       auto it = shadows_.find(txn);
       if (it == shadows_.end()) {
         continue;

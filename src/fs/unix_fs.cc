@@ -39,13 +39,17 @@ UnixFileSource::UnixFileSource(Kernel& kernel, std::string text)
 }
 
 void UnixFileSource::HandleTransfer(InvocationContext ctx) {
-  int64_t max = std::max<int64_t>(ctx.Arg(kFieldMax).IntOr(1), 1);
+  const TransferArgs* args = ctx.RecordOrReject<TransferArgs>();
+  if (args == nullptr) {
+    return;
+  }
+  int64_t max = std::max<int64_t>(args->max, 1);
   ValueList items;
   while (max-- > 0 && cursor_ < lines_.size()) {
     items.push_back(Value(lines_[cursor_++]));
   }
   bool end = cursor_ >= lines_.size();
-  ctx.Reply(MakeBatchReply(std::move(items), end));
+  ctx.Reply(BatchReply{std::move(items), end});
   if (end) {
     // "the UnixFile Eject deactivates itself and, since it has never
     // Checkpointed, disappears." (§7)

@@ -651,7 +651,7 @@ ShellResult EdenShell::Run(const std::string& command, uint64_t max_events) {
     if (!opened.ok()) {
       return Fail("NewStream failed: " + opened.status.ToString());
     }
-    auto stream = opened.value.Field("stream").AsUid();
+    auto stream = opened.value().Field("stream").AsUid();
     if (!stream) {
       return Fail("NewStream returned no stream");
     }
@@ -834,7 +834,7 @@ ShellResult EdenShell::Run(const std::string& command, uint64_t max_events) {
       return Fail("Absorb failed: " + absorbed.status.ToString());
     }
     result.output.push_back("absorbed " +
-                            std::to_string(absorbed.value.Field("count").IntOr(0)) +
+                            std::to_string(absorbed.value().Field("count").IntOr(0)) +
                             " lines");
   } else if (sink_stage.command == "usestream" && sink_stage.args.size() == 1) {
     if (host_ == nullptr) {
@@ -849,7 +849,7 @@ ShellResult EdenShell::Run(const std::string& command, uint64_t max_events) {
     if (!used.ok()) {
       return Fail("UseStream failed: " + used.status.ToString());
     }
-    auto file = used.value.Field("file").AsUid();
+    auto file = used.value().Field("file").AsUid();
     note_sink(*file, "usestream:" + sink_stage.args[0], "UnixFile");
     kernel_.RunUntil([&] { return !kernel_.IsActive(*file); }, max_events);
     result.output.push_back("wrote " + sink_stage.args[0]);

@@ -82,7 +82,7 @@ TEST(ChannelTest, UnknownChannelIsRejected) {
   Kernel kernel;
   VectorSource& source = kernel.CreateLocal<VectorSource>(MakeInts(4));
   InvokeResult r = kernel.InvokeAndRun(source.uid(), "Transfer",
-                                       MakeTransferArgs(Value("nope"), 1));
+                                       TransferArgs{Value("nope"), 1});
   EXPECT_TRUE(r.status.is(StatusCode::kNoSuchChannel));
 }
 
@@ -125,13 +125,13 @@ TEST(ChannelTest, CapabilityChannelsPreventSnooping) {
       source.uid(), std::string(kOpOpenChannel),
       Value().Set(std::string(kFieldName), Value(std::string(kChanOut))));
   ASSERT_TRUE(out_cap.ok());
-  Value out_channel = out_cap.value.Field(kFieldChannel);
+  Value out_channel = out_cap.value().Field(kFieldChannel);
 
   // A dishonest reader guesses spellings for the report channel: all fail,
   // indistinguishably from the channel not existing.
   for (Value guess : {Value("report"), Value(int64_t{1}), Value(Uid(1, 2))}) {
     InvokeResult r = kernel.InvokeAndRun(source.uid(), "Transfer",
-                                         MakeTransferArgs(guess, 1));
+                                         TransferArgs{guess, 1});
     EXPECT_TRUE(r.status.is(StatusCode::kNoSuchChannel)) << guess.ToString();
   }
 
@@ -178,14 +178,14 @@ TEST(ChannelTest, PassiveBufferOpensOutputChannels) {
   ASSERT_TRUE(out.ok());
   ASSERT_TRUE(kernel
                   .InvokeAndRun(pipe.uid(), "Push",
-                                MakePushArgs(Value(std::string(kChanIn)),
-                                             {Value(int64_t{7})}, true))
+                                PushArgs{Value(std::string(kChanIn)), {Value(int64_t{7})}, true})
                   .ok());
   InvokeResult r = kernel.InvokeAndRun(
       pipe.uid(), "Transfer",
-      MakeTransferArgs(out.value.Field(kFieldChannel), 4));
+      TransferArgs{out.value().Field(kFieldChannel), 4});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value.Field(kFieldItems), Value(ValueList{Value(int64_t{7})}));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.As<BatchReply>()->items, (ValueList{Value(int64_t{7})}));
 }
 
 // Each minted capability is distinct, and all address the same channel.

@@ -91,7 +91,7 @@ TEST(ConformanceTest, UnixFileSourceVanishes) {
   UnixFileSystemEject& ufs = kernel.CreateLocal<UnixFileSystemEject>(host);
   InvokeResult opened = kernel.InvokeAndRun(ufs.uid(), "NewStream",
                                             Value().Set("path", Value("/f")));
-  Uid stream = *opened.value.Field("stream").AsUid();
+  Uid stream = *opened.value().Field("stream").AsUid();
   ConformanceOptions options;
   options.post_end = PostEndBehavior::kVanish;
   // The bootstrap UnixFile accepts any channel spelling; skip that probe.
@@ -118,7 +118,7 @@ TEST(ConformanceTest, DirectoryListingSession) {
   dir.AddEntryLocal("x", Uid(1, 1));
   InvokeResult listed = kernel.InvokeAndRun(dir.uid(), "List");
   ConformanceOptions options;
-  options.channel = listed.value.Field(kFieldChannel);
+  options.channel = listed.value().Field(kFieldChannel);
   // A drained listing session is forgotten: its capability no longer
   // resolves, which the harness sees as NO_SUCH_CHANNEL — i.e. the session
   // channel "vanishes" even though the directory itself stays. That is a
@@ -142,7 +142,7 @@ TEST(ConformanceTest, HarnessDetectsViolations) {
         for (int i = 0; i < 10; ++i) {
           items.push_back(Value(i));
         }
-        ctx.Reply(MakeBatchReply(std::move(items), false));
+        ctx.Reply(BatchReply{std::move(items), false});
       });
     }
   };

@@ -150,12 +150,12 @@ TEST(ClockSourceTest, ReturnsAdvancingVirtualTime) {
   Kernel kernel;
   ClockSource& clock = kernel.CreateLocal<ClockSource>();
   InvokeResult first = kernel.InvokeAndRun(clock.uid(), "Transfer",
-                                           MakeTransferArgs(Value(0), 1));
+                                           TransferArgs{Value(0), 1});
   InvokeResult second = kernel.InvokeAndRun(clock.uid(), "Transfer",
-                                            MakeTransferArgs(Value(0), 1));
+                                            TransferArgs{Value(0), 1});
   ASSERT_TRUE(first.ok() && second.ok());
-  std::string t1 = (*first.value.Field(kFieldItems).AsList())[0].StrOr("");
-  std::string t2 = (*second.value.Field(kFieldItems).AsList())[0].StrOr("");
+  std::string t1 = first.As<BatchReply>()->items[0].StrOr("");
+  std::string t2 = second.As<BatchReply>()->items[0].StrOr("");
   EXPECT_NE(t1, t2);  // virtual time advanced between reads
   EXPECT_EQ(t1.rfind("tick ", 0), 0u);
 }

@@ -376,8 +376,7 @@ TEST(StreamAcceptorTest, WithheldRepliesReleaseWhenStreamEnds) {
   Status first_status;
   bool first_replied = false;
   kernel.ExternalInvoke(target.uid(), std::string(kOpPush),
-                        MakePushArgs(Value(std::string(kChanIn)), MakeInts(5),
-                                     /*end=*/false),
+                        PushArgs{Value(std::string(kChanIn)), MakeInts(5), /*end=*/false},
                         [&](InvokeResult r) {
                           first_replied = true;
                           first_status = std::move(r.status);
@@ -386,8 +385,7 @@ TEST(StreamAcceptorTest, WithheldRepliesReleaseWhenStreamEnds) {
   // Buffer (5) is above capacity (2) and nobody drains: reply withheld.
   ASSERT_FALSE(first_replied);
   kernel.ExternalInvoke(target.uid(), std::string(kOpPush),
-                        MakePushArgs(Value(std::string(kChanIn)), ValueList(),
-                                     /*end=*/true),
+                        PushArgs{Value(std::string(kChanIn)), ValueList(), /*end=*/true},
                         [](InvokeResult) {});
   kernel.Run();
   ASSERT_TRUE(first_replied);
@@ -411,7 +409,7 @@ TEST(StreamServerTest, AbortedTransfersAreCountedSeparately) {
   int failed = 0;
   for (int i = 0; i < 3; ++i) {
     kernel.ExternalInvoke(source.uid(), std::string(kOpTransfer),
-                          MakeTransferArgs(Value(std::string(kChanOut)), 1),
+                          TransferArgs{Value(std::string(kChanOut)), 1},
                           [&failed](InvokeResult r) {
                             if (r.status.is(StatusCode::kUnavailable)) {
                               failed++;
@@ -438,26 +436,26 @@ TEST(SequencedStreamTest, RedeliveredItemsAreDroppedOnce) {
   // First fetch: positions 0..2.
   InvokeResult a = kernel.InvokeAndRun(
       source.uid(), std::string(kOpTransfer),
-      MakeTransferArgs(Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/0));
+      TransferArgs{Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/0});
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a.value.Field(kFieldSeq).IntOr(-1), 0);
+  EXPECT_EQ(a.As<BatchReply>()->seq, 0u);
   // Re-request position 0: the server replays, flagging the redelivery.
   InvokeResult b = kernel.InvokeAndRun(
       source.uid(), std::string(kOpTransfer),
-      MakeTransferArgs(Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/0));
+      TransferArgs{Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/0});
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b.value.Field(kFieldSeq).IntOr(-1), 0);
+  EXPECT_EQ(b.As<BatchReply>()->seq, 0u);
   EXPECT_GT(kernel.stats().redeliveries, 0u);
   // Acknowledging position 3 trims the replay window...
   InvokeResult c = kernel.InvokeAndRun(
       source.uid(), std::string(kOpTransfer),
-      MakeTransferArgs(Value(std::string(kChanOut)), 3, /*seq=*/3, /*ack=*/3));
+      TransferArgs{Value(std::string(kChanOut)), 3, /*seq=*/3, /*ack=*/3});
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(source.server().acked(kChanOut), 3u);
   // ...after which a request below the window is a hard error.
   InvokeResult d = kernel.InvokeAndRun(
       source.uid(), std::string(kOpTransfer),
-      MakeTransferArgs(Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/3));
+      TransferArgs{Value(std::string(kChanOut)), 3, /*seq=*/0, /*ack=*/3});
   EXPECT_TRUE(d.status.is(StatusCode::kInternal));
 }
 
@@ -470,20 +468,20 @@ TEST(SequencedStreamTest, GappedPushIsRefusedWithResumePosition) {
   PushSink& sink = kernel.CreateLocal<PushSink>(options);
   InvokeResult ahead = kernel.InvokeAndRun(
       sink.uid(), std::string(kOpPush),
-      MakePushArgs(Value(std::string(kChanIn)), MakeInts(2), false, /*seq=*/5));
+      PushArgs{Value(std::string(kChanIn)), MakeInts(2), false, Band::kData, /*seq=*/5});
   ASSERT_TRUE(ahead.ok());
-  EXPECT_EQ(ahead.value.Field(kFieldNext).IntOr(-1), 0);  // nothing ingested
+  EXPECT_EQ(ahead.As<PushAck>()->next, 0u);  // nothing ingested
   InvokeResult ok = kernel.InvokeAndRun(
       sink.uid(), std::string(kOpPush),
-      MakePushArgs(Value(std::string(kChanIn)), MakeInts(2), false, /*seq=*/0));
+      PushArgs{Value(std::string(kChanIn)), MakeInts(2), false, Band::kData, /*seq=*/0});
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value.Field(kFieldNext).IntOr(-1), 2);
+  EXPECT_EQ(ok.As<PushAck>()->next, 2u);
   // A duplicate of position 0..1 plus fresh position 2 ingests only item 2.
   InvokeResult dup = kernel.InvokeAndRun(
       sink.uid(), std::string(kOpPush),
-      MakePushArgs(Value(std::string(kChanIn)), MakeInts(3), false, /*seq=*/0));
+      PushArgs{Value(std::string(kChanIn)), MakeInts(3), false, Band::kData, /*seq=*/0});
   ASSERT_TRUE(dup.ok());
-  EXPECT_EQ(dup.value.Field(kFieldNext).IntOr(-1), 3);
+  EXPECT_EQ(dup.As<PushAck>()->next, 3u);
   EXPECT_EQ(kernel.stats().redeliveries_dropped, 2u);
 }
 

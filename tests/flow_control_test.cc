@@ -91,8 +91,7 @@ void PushOne(Kernel& kernel, ManualSink& sink, Value item, int& acked,
              Band band = Band::kData) {
   kernel.ExternalInvoke(
       sink.uid(), "Push",
-      MakePushArgs(Value(std::string(kChanIn)), {std::move(item)}, false,
-                   band),
+      PushArgs{Value(std::string(kChanIn)), {std::move(item)}, false, band},
       [&acked](InvokeResult r) {
         EXPECT_TRUE(r.ok());
         acked++;
@@ -172,7 +171,7 @@ TEST(AcceptorFlowTest, EndReleasesWithheldRepliesImmediately) {
 
   kernel.ExternalInvoke(
       sink.uid(), "Push",
-      MakePushArgs(Value(std::string(kChanIn)), {}, /*end=*/true),
+      PushArgs{Value(std::string(kChanIn)), {}, /*end=*/true},
       [&acked](InvokeResult r) {
         EXPECT_TRUE(r.ok());
         acked++;
@@ -312,7 +311,7 @@ class ManualSource : public Eject {
 InvokeResult TransferN(Kernel& kernel, const ManualSource& source, int n) {
   return kernel.InvokeAndRun(
       source.uid(), "Transfer",
-      MakeTransferArgs(Value(std::string(kChanOut)), n));
+      TransferArgs{Value(std::string(kChanOut)), n});
 }
 
 TEST(ServerFlowTest, BlocksAtHiwatAndResumesBelowLowat) {
@@ -379,8 +378,9 @@ TEST(ServerFlowTest, ControlWriteBypassesFlowControlAndLeadsTheBatch) {
   // ...and the next Transfer delivers it ahead of the queued data.
   InvokeResult r = TransferN(kernel, source, 3);
   ASSERT_TRUE(r.ok());
-  const ValueList* items = r.value.Field(kFieldItems).AsList();
-  ASSERT_NE(items, nullptr);
+  const BatchReply* batch = r.As<BatchReply>();
+  ASSERT_NE(batch, nullptr);
+  const ValueList* items = &batch->items;
   ASSERT_EQ(items->size(), 3u);
   EXPECT_EQ((*items)[0].StrOr(""), "ctl");
   EXPECT_EQ((*items)[1].IntOr(-1), 0);
@@ -397,8 +397,9 @@ TEST(ServerFlowTest, PutBackRestoresTheFrontOfTheBand) {
   source.server.PutBack(kChanOut, Value(int64_t{-1}));
   InvokeResult r = TransferN(kernel, source, 4);
   ASSERT_TRUE(r.ok());
-  const ValueList* items = r.value.Field(kFieldItems).AsList();
-  ASSERT_NE(items, nullptr);
+  const BatchReply* batch = r.As<BatchReply>();
+  ASSERT_NE(batch, nullptr);
+  const ValueList* items = &batch->items;
   ASSERT_EQ(items->size(), 4u);
   EXPECT_EQ((*items)[0].IntOr(0), -1);  // the put-back item leads
   EXPECT_EQ((*items)[1].IntOr(-1), 0);
@@ -413,7 +414,7 @@ TEST(ServerFlowTest, PutBackServesParkedDemand) {
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
   std::optional<InvokeResult> reply;
   kernel.ExternalInvoke(source.uid(), "Transfer",
-                        MakeTransferArgs(Value(std::string(kChanOut)), 4),
+                        TransferArgs{Value(std::string(kChanOut)), 4},
                         [&reply](InvokeResult r) { reply = std::move(r); });
   kernel.Run();
   ASSERT_EQ(source.server.parked_requests(kChanOut), 1u);
@@ -423,9 +424,10 @@ TEST(ServerFlowTest, PutBackServesParkedDemand) {
   EXPECT_EQ(source.server.buffered(kChanOut), 0u);
   ASSERT_TRUE(reply.has_value());
   ASSERT_TRUE(reply->ok());
-  EXPECT_EQ(reply->value.Field(kFieldItems),
-            Value(ValueList{Value(int64_t{-1})}));
-  EXPECT_FALSE(reply->value.Field(kFieldEnd).BoolOr(true));
+  const BatchReply* batch = reply->As<BatchReply>();
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(batch->items, (ValueList{Value(int64_t{-1})}));
+  EXPECT_FALSE(batch->end);
 }
 
 // ------------------------------------------------------------- ServiceProc
@@ -582,12 +584,13 @@ TEST(BandTest, ControlOvertakesASaturatedPassiveBuffer) {
   while (!end) {
     InvokeResult r = kernel.InvokeAndRun(
         pipe.uid(), "Transfer",
-        MakeTransferArgs(Value(std::string(kChanOut)), 100));
+        TransferArgs{Value(std::string(kChanOut)), 100});
     ASSERT_TRUE(r.ok());
-    const ValueList* items = r.value.Field(kFieldItems).AsList();
-    ASSERT_NE(items, nullptr);
+    const BatchReply* batch = r.As<BatchReply>();
+    ASSERT_NE(batch, nullptr);
+    const ValueList* items = &batch->items;
     collected.insert(collected.end(), items->begin(), items->end());
-    end = r.value.Field(kFieldEnd).BoolOr(false);
+    end = batch->end;
   }
   ASSERT_EQ(collected.size(), 13u);
   EXPECT_EQ(collected[0].StrOr(""), "ctl");
@@ -607,16 +610,15 @@ TEST(BandTest, PushSinkRoutesControlItemsAside) {
   PushSink& sink = kernel.CreateLocal<PushSink>(options);
   kernel.ExternalInvoke(
       sink.uid(), "Push",
-      MakePushArgs(Value(std::string(kChanIn)), {Value(int64_t{0})}, false),
+      PushArgs{Value(std::string(kChanIn)), {Value(int64_t{0})}, false},
       [](InvokeResult r) { EXPECT_TRUE(r.ok()); });
   kernel.ExternalInvoke(
       sink.uid(), "Push",
-      MakePushArgs(Value(std::string(kChanIn)), {Value(std::string("ctl"))},
-                   false, Band::kControl),
+      PushArgs{Value(std::string(kChanIn)), {Value(std::string("ctl"))}, false, Band::kControl},
       [](InvokeResult r) { EXPECT_TRUE(r.ok()); });
   kernel.ExternalInvoke(
       sink.uid(), "Push",
-      MakePushArgs(Value(std::string(kChanIn)), {}, /*end=*/true),
+      PushArgs{Value(std::string(kChanIn)), {}, /*end=*/true},
       [](InvokeResult r) { EXPECT_TRUE(r.ok()); });
   kernel.Run();
   ASSERT_TRUE(sink.done());

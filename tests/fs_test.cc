@@ -52,30 +52,29 @@ TEST(FileTest, OpenGivesIndependentSessions) {
   InvokeResult s1 = kernel.InvokeAndRun(file.uid(), "Open");
   InvokeResult s2 = kernel.InvokeAndRun(file.uid(), "Open");
   ASSERT_TRUE(s1.ok() && s2.ok());
-  Value chan1 = s1.value.Field(kFieldChannel);
-  Value chan2 = s2.value.Field(kFieldChannel);
+  Value chan1 = s1.value().Field(kFieldChannel);
+  Value chan2 = s2.value().Field(kFieldChannel);
   EXPECT_NE(chan1, chan2);
 
   // Interleaved reads do not disturb each other.
   InvokeResult r1 = kernel.InvokeAndRun(file.uid(), "Transfer",
-                                        MakeTransferArgs(chan1, 2));
+                                        TransferArgs{chan1, 2});
   InvokeResult r2 = kernel.InvokeAndRun(file.uid(), "Transfer",
-                                        MakeTransferArgs(chan2, 1));
-  EXPECT_EQ(r1.value.Field(kFieldItems).Size(), 2u);
-  EXPECT_EQ(r2.value.Field(kFieldItems).Size(), 1u);
-  EXPECT_EQ((*r2.value.Field(kFieldItems).AsList())[0], Value("a"));
+                                        TransferArgs{chan2, 1});
+  EXPECT_EQ(r1.As<BatchReply>()->items.size(), 2u);
+  EXPECT_EQ(r2.As<BatchReply>()->items, (ValueList{Value("a")}));
 }
 
 TEST(FileTest, CloseInvalidatesSession) {
   Kernel kernel;
   FileEject& file = kernel.CreateLocal<FileEject>("a\n");
   InvokeResult opened = kernel.InvokeAndRun(file.uid(), "Open");
-  Value chan = opened.value.Field(kFieldChannel);
+  Value chan = opened.value().Field(kFieldChannel);
   ASSERT_TRUE(kernel.InvokeAndRun(file.uid(), "Close",
                                   Value().Set(std::string(kFieldChannel), chan))
                   .ok());
   InvokeResult r = kernel.InvokeAndRun(file.uid(), "Transfer",
-                                       MakeTransferArgs(chan, 1));
+                                       TransferArgs{chan, 1});
   EXPECT_TRUE(r.status.is(StatusCode::kNoSuchChannel));
 }
 
@@ -100,14 +99,14 @@ TEST(FileTest, AbsorbPullsWholeStreamAndCheckpoints) {
   InvokeResult r = kernel.InvokeAndRun(file.uid(), "Absorb",
                                        Value().Set("source", Value(source.uid())));
   ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_EQ(r.value.Field("count"), Value(3));
+  EXPECT_EQ(r.value().Field("count"), Value(3));
   EXPECT_EQ(file.ContentsAsText(), "x\ny\nz\n");
   // Absorb checkpointed: a crash must not lose the data.
   Uid uid = file.uid();
   kernel.Crash(uid);
   InvokeResult size = kernel.InvokeAndRun(uid, "Size");
   ASSERT_TRUE(size.ok());
-  EXPECT_EQ(size.value.Field("lines"), Value(3));
+  EXPECT_EQ(size.value().Field("lines"), Value(3));
 }
 
 TEST(FileTest, UncheckpointedWritesAreLostOnCrash) {
@@ -121,7 +120,7 @@ TEST(FileTest, UncheckpointedWritesAreLostOnCrash) {
   (void)kernel.InvokeAndRun(uid, "Write", args);
   kernel.Crash(uid);
   InvokeResult size = kernel.InvokeAndRun(uid, "Size");
-  EXPECT_EQ(size.value.Field("lines"), Value(1));  // "volatile" gone
+  EXPECT_EQ(size.value().Field("lines"), Value(1));  // "volatile" gone
 }
 
 // ----------------------------------------------------------------- Directory
@@ -137,7 +136,7 @@ TEST(DirectoryTest, AddLookupDelete) {
   InvokeResult found = kernel.InvokeAndRun(dir.uid(), "Lookup",
                                            Value().Set("name", Value("alpha")));
   ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value.Field("uid"), Value(target));
+  EXPECT_EQ(found.value().Field("uid"), Value(target));
 
   EXPECT_TRUE(kernel.InvokeAndRun(dir.uid(), "AddEntry", add)
                   .status.is(StatusCode::kAlreadyExists));
@@ -158,7 +157,7 @@ TEST(DirectoryTest, ListStreamsPrintableRepresentation) {
 
   InvokeResult listed = kernel.InvokeAndRun(dir.uid(), "List");
   ASSERT_TRUE(listed.ok());
-  Value chan = listed.value.Field(kFieldChannel);
+  Value chan = listed.value().Field(kFieldChannel);
   ValueList lines = CollectFrom(kernel, dir.uid(), chan);
   std::vector<std::string> strings = AsStrings(lines);
   ASSERT_EQ(strings.size(), 3u);
@@ -172,10 +171,10 @@ TEST(DirectoryTest, ListingSessionIsSingleUse) {
   DirectoryEject& dir = kernel.CreateLocal<DirectoryEject>();
   dir.AddEntryLocal("x", Uid(1, 1));
   InvokeResult listed = kernel.InvokeAndRun(dir.uid(), "List");
-  Value chan = listed.value.Field(kFieldChannel);
+  Value chan = listed.value().Field(kFieldChannel);
   (void)CollectFrom(kernel, dir.uid(), chan);
   InvokeResult again = kernel.InvokeAndRun(dir.uid(), "Transfer",
-                                           MakeTransferArgs(chan, 1));
+                                           TransferArgs{chan, 1});
   EXPECT_TRUE(again.status.is(StatusCode::kNoSuchChannel));
 }
 
@@ -190,7 +189,7 @@ TEST(DirectoryTest, CheckpointedDirectorySurvivesCrash) {
   InvokeResult found = kernel.InvokeAndRun(uid, "Lookup",
                                            Value().Set("name", Value("persist")));
   ASSERT_TRUE(found.ok()) << found.status;
-  EXPECT_EQ(found.value.Field("uid"), Value(Uid(3, 4)));
+  EXPECT_EQ(found.value().Field("uid"), Value(Uid(3, 4)));
 }
 
 TEST(DirectoryTest, ConcatenatorSearchesInOrder) {
@@ -206,10 +205,10 @@ TEST(DirectoryTest, ConcatenatorSearchesInOrder) {
 
   InvokeResult both = kernel.InvokeAndRun(path.uid(), "Lookup",
                                           Value().Set("name", Value("both")));
-  EXPECT_EQ(both.value.Field("uid"), Value(Uid(1, 0)));  // first wins
+  EXPECT_EQ(both.value().Field("uid"), Value(Uid(1, 0)));  // first wins
   InvokeResult only2 = kernel.InvokeAndRun(path.uid(), "Lookup",
                                            Value().Set("name", Value("only2")));
-  EXPECT_EQ(only2.value.Field("uid"), Value(Uid(3, 0)));
+  EXPECT_EQ(only2.value().Field("uid"), Value(Uid(3, 0)));
   InvokeResult missing = kernel.InvokeAndRun(path.uid(), "Lookup",
                                              Value().Set("name", Value("nope")));
   EXPECT_TRUE(missing.status.is(StatusCode::kNotFound));
@@ -226,7 +225,7 @@ TEST(DirectoryTest, ConcatenatorListsAllDirectories) {
   InvokeResult listed = kernel.InvokeAndRun(path.uid(), "List");
   ASSERT_TRUE(listed.ok());
   ValueList lines = CollectFrom(kernel, path.uid(),
-                                listed.value.Field(kFieldChannel));
+                                listed.value().Field(kFieldChannel));
   EXPECT_EQ(lines.size(), 4u);  // a, total 1, b, total 1
 }
 
@@ -290,7 +289,7 @@ TEST(UnixFsTest, NewStreamStreamsHostFileThenDisappears) {
   InvokeResult opened = kernel.InvokeAndRun(
       ufs.uid(), "NewStream", Value().Set("path", Value("/src/hello.txt")));
   ASSERT_TRUE(opened.ok());
-  auto stream = opened.value.Field("stream").AsUid();
+  auto stream = opened.value().Field("stream").AsUid();
   ASSERT_TRUE(stream.has_value());
 
   ValueList items = CollectFrom(kernel, *stream, Value(std::string(kChanOut)));
@@ -301,7 +300,7 @@ TEST(UnixFsTest, NewStreamStreamsHostFileThenDisappears) {
   kernel.Run();
   EXPECT_FALSE(kernel.IsActive(*stream));
   InvokeResult gone = kernel.InvokeAndRun(*stream, "Transfer",
-                                          MakeTransferArgs(Value(0), 1));
+                                          TransferArgs{Value(0), 1});
   EXPECT_TRUE(gone.status.is(StatusCode::kNoSuchEject));
 }
 
@@ -325,7 +324,7 @@ TEST(UnixFsTest, UseStreamRecordsStreamIntoHostFile) {
       ufs.uid(), "UseStream",
       Value().Set("path", Value("/dst/out.txt")).Set("source", Value(source.uid())));
   ASSERT_TRUE(used.ok());
-  auto file = used.value.Field("file").AsUid();
+  auto file = used.value().Field("file").AsUid();
   ASSERT_TRUE(file.has_value());
 
   kernel.Run();
@@ -346,7 +345,7 @@ TEST(UnixFsTest, RoundTripCopyThroughEdenStreams) {
       ufs.uid(), "UseStream",
       Value()
           .Set("path", Value("/b"))
-          .Set("source", Value(*opened.value.Field("stream").AsUid())));
+          .Set("source", Value(*opened.value().Field("stream").AsUid())));
   ASSERT_TRUE(used.ok());
   kernel.Run();
   EXPECT_EQ(host.Get("/b"), host.Get("/a"));

@@ -133,14 +133,14 @@ TEST(FailureTest, CheckpointedSourceReactivatesUnderReads) {
 
   // Open a private session and read a few batches.
   InvokeResult opened = kernel.InvokeAndRun(file_uid, "Open");
-  Value session = opened.value.Field(kFieldChannel);
-  (void)kernel.InvokeAndRun(file_uid, "Transfer", MakeTransferArgs(session, 10));
+  Value session = opened.value().Field(kFieldChannel);
+  (void)kernel.InvokeAndRun(file_uid, "Transfer", TransferArgs{session, 10});
 
   kernel.Crash(file_uid);
 
   // The session died with the instance (it was volatile state)...
   InvokeResult dead = kernel.InvokeAndRun(file_uid, "Transfer",
-                                          MakeTransferArgs(session, 10));
+                                          TransferArgs{session, 10});
   EXPECT_TRUE(dead.status.is(StatusCode::kNoSuchChannel));
   EXPECT_TRUE(kernel.IsActive(file_uid));  // ...but the file reactivated
 
@@ -168,7 +168,7 @@ TEST(EndToEndTest, FortranListingThroughPrinter) {
   InvokeResult opened = kernel.InvokeAndRun(
       ufs.uid(), "NewStream", Value().Set("path", Value("/src/prog.f")));
   ASSERT_TRUE(opened.ok());
-  Uid stream = *opened.value.Field("stream").AsUid();
+  Uid stream = *opened.value().Field("stream").AsUid();
 
   ReadOnlyFilter::Options strip_options;
   strip_options.source = stream;
@@ -217,7 +217,7 @@ TEST(EndToEndTest, DirectoryShellRoundTrip) {
   InvokeResult listed = kernel.InvokeAndRun(home.uid(), "List");
   ASSERT_TRUE(listed.ok());
   PullSink& sink = kernel.CreateLocal<PullSink>(home.uid(),
-                                                listed.value.Field(kFieldChannel));
+                                                listed.value().Field(kFieldChannel));
   kernel.RunUntil([&] { return sink.done(); });
   EXPECT_EQ(sink.items().size(), 3u);  // 2 entries + total line
 }

@@ -51,7 +51,7 @@ class RelayEject : public Eject {
  private:
   Task<void> DoRelay(InvocationContext ctx) {
     InvokeResult r = co_await Invoke(next_, "Echo", ctx.args());
-    ctx.ReplyStatus(r.status, std::move(r.value));
+    ctx.ReplyStatus(r.status, std::move(r.body));
   }
 
   Uid next_;
@@ -121,7 +121,7 @@ TEST(KernelTest, EchoRoundTrip) {
   EchoEject& echo = kernel.CreateLocal<EchoEject>();
   InvokeResult r = kernel.InvokeAndRun(echo.uid(), "Echo", Value("hello"));
   ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_EQ(r.value, Value("hello"));
+  EXPECT_EQ(r.value(), Value("hello"));
 }
 
 TEST(KernelTest, AddOperation) {
@@ -130,7 +130,7 @@ TEST(KernelTest, AddOperation) {
   Value args = Value().Set("a", Value(2)).Set("b", Value(40));
   InvokeResult r = kernel.InvokeAndRun(echo.uid(), "Add", args);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value, Value(42));
+  EXPECT_EQ(r.value(), Value(42));
 }
 
 TEST(KernelTest, UnknownOperationIsReported) {
@@ -159,7 +159,7 @@ TEST(KernelTest, RelayChainsInvocationsThroughCoroutine) {
   RelayEject& relay = kernel.CreateLocal<RelayEject>(echo.uid());
   InvokeResult r = kernel.InvokeAndRun(relay.uid(), "Relay", Value("via"));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value, Value("via"));
+  EXPECT_EQ(r.value(), Value("via"));
 }
 
 TEST(KernelTest, StatsCountMessages) {
@@ -211,7 +211,7 @@ TEST(KernelTest, ParkedReadsAreServedInOrder) {
   for (int i = 0; i < 3; ++i) {
     kernel.ExternalInvoke(source.uid(), "Read", Value(), [&got](InvokeResult r) {
       ASSERT_TRUE(r.ok());
-      got.push_back(r.value.IntOr(-1));
+      got.push_back(r.value().IntOr(-1));
     });
   }
   kernel.Run();
@@ -259,7 +259,7 @@ TEST(KernelTest, CheckpointAndCrashReactivates) {
   // Next invocation reactivates from the passive representation: count == 2.
   InvokeResult r = kernel.InvokeAndRun(uid, "Get");
   ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_EQ(r.value, Value(2));
+  EXPECT_EQ(r.value(), Value(2));
   EXPECT_TRUE(kernel.IsActive(uid));
   EXPECT_EQ(kernel.stats().activations, 1u);
 }
@@ -351,8 +351,8 @@ TEST(KernelTest, SequentialCountsAreIsolatedPerEject) {
   (void)kernel.InvokeAndRun(a.uid(), "Count");
   InvokeResult ra = kernel.InvokeAndRun(a.uid(), "Count");
   InvokeResult rb = kernel.InvokeAndRun(b.uid(), "Count");
-  EXPECT_EQ(ra.value, Value(3));
-  EXPECT_EQ(rb.value, Value(1));
+  EXPECT_EQ(ra.value(), Value(3));
+  EXPECT_EQ(rb.value(), Value(1));
 }
 
 TEST(KernelTest, CrashNodeKillsOnlyThatNode) {

@@ -178,7 +178,7 @@ TEST(EjectTest, ReactivationPreservesIdentity) {
   kernel.Crash(uid);
   InvokeResult r = kernel.InvokeAndRun(uid, "WhoAmI");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value.UidOr(Uid()), uid);
+  EXPECT_EQ(r.value().UidOr(Uid()), uid);
 }
 
 TEST(EjectTest, OperationsListsRegisteredOps) {

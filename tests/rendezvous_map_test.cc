@@ -27,7 +27,7 @@ TEST(CspChannelTest, SenderParksUntilReceiver) {
   Value got;
   kernel.ExternalInvoke(channel.uid(), "Receive", Value(), [&](InvokeResult r) {
     ASSERT_TRUE(r.ok());
-    got = r.value.Field("item");
+    got = r.value().Field("item");
   });
   kernel.Run();
   EXPECT_TRUE(sent);  // both completed together
@@ -41,7 +41,7 @@ TEST(CspChannelTest, ReceiverParksUntilSender) {
   bool received = false;
   kernel.ExternalInvoke(channel.uid(), "Receive", Value(), [&](InvokeResult r) {
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.value.Field("item"), Value("x"));
+    EXPECT_EQ(r.value().Field("item"), Value("x"));
     received = true;
   });
   kernel.Run();
@@ -65,7 +65,7 @@ TEST(CspChannelTest, FifoMatchingIsDeterministic) {
   std::vector<int64_t> got;
   for (int i = 0; i < 3; ++i) {
     kernel.ExternalInvoke(channel.uid(), "Receive", Value(), [&](InvokeResult r) {
-      got.push_back(r.value.Field("item").IntOr(-1));
+      got.push_back(r.value().Field("item").IntOr(-1));
     });
   }
   kernel.Run();
@@ -78,7 +78,7 @@ TEST(CspChannelTest, CloseReleasesBothSides) {
   Status send_status;
   bool receive_end = false;
   kernel.ExternalInvoke(channel.uid(), "Receive", Value(), [&](InvokeResult r) {
-    receive_end = r.value.Field("end").BoolOr(false);
+    receive_end = r.value().Field("end").BoolOr(false);
   });
   kernel.Run();
   ASSERT_TRUE(kernel.InvokeAndRun(channel.uid(), "Close").ok());
@@ -92,7 +92,7 @@ TEST(CspChannelTest, CloseReleasesBothSides) {
   // Receive after close: immediate end.
   bool end2 = false;
   kernel.ExternalInvoke(channel.uid(), "Receive", Value(), [&](InvokeResult r) {
-    end2 = r.value.Field("end").BoolOr(false);
+    end2 = r.value().Field("end").BoolOr(false);
   });
   kernel.Run();
   EXPECT_TRUE(end2);
@@ -122,11 +122,11 @@ class CspCopier : public Eject {
   Task<void> Run() {
     for (;;) {
       InvokeResult r = co_await Invoke(in_, "Receive", Value());
-      if (!r.ok() || r.value.Field("end").BoolOr(false)) {
+      if (!r.ok() || r.value().Field("end").BoolOr(false)) {
         break;
       }
       (void)co_await Invoke(out_, "Send",
-                            Value().Set("item", r.value.Field("item")));
+                            Value().Set("item", r.value().Field("item")));
     }
     (void)co_await Invoke(out_, "Close", Value());
   }
@@ -160,11 +160,11 @@ TEST(CspChannelTest, PipelineOfRendezvousChannels) {
   bool done = false;
   std::function<void()> pull = [&] {
     kernel.ExternalInvoke(b.uid(), "Receive", Value(), [&](InvokeResult r) {
-      if (!r.ok() || r.value.Field("end").BoolOr(false)) {
+      if (!r.ok() || r.value().Field("end").BoolOr(false)) {
         done = true;
         return;
       }
-      got.push_back(r.value.Field("item").IntOr(-1));
+      got.push_back(r.value().Field("item").IntOr(-1));
       pull();
     });
   };
@@ -185,14 +185,14 @@ TEST(MapFileTest, RandomAccessReadWrite) {
   InvokeResult read = kernel.InvokeAndRun(file.uid(), "ReadAt",
                                           Value().Set("index", Value(1)));
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value.Field("item"), Value("r1"));
+  EXPECT_EQ(read.value().Field("item"), Value("r1"));
 
   ASSERT_TRUE(kernel
                   .InvokeAndRun(file.uid(), "WriteAt",
                                 Value().Set("index", Value(1)).Set("item", Value("R1")))
                   .ok());
   read = kernel.InvokeAndRun(file.uid(), "ReadAt", Value().Set("index", Value(1)));
-  EXPECT_EQ(read.value.Field("item"), Value("R1"));
+  EXPECT_EQ(read.value().Field("item"), Value("R1"));
 }
 
 TEST(MapFileTest, WriteBeyondEndExtends) {
@@ -203,11 +203,11 @@ TEST(MapFileTest, WriteBeyondEndExtends) {
                                 Value().Set("index", Value(3)).Set("item", Value("x")))
                   .ok());
   InvokeResult length = kernel.InvokeAndRun(file.uid(), "Length");
-  EXPECT_EQ(length.value.Field("length"), Value(4));
+  EXPECT_EQ(length.value().Field("length"), Value(4));
   InvokeResult hole = kernel.InvokeAndRun(file.uid(), "ReadAt",
                                           Value().Set("index", Value(1)));
   ASSERT_TRUE(hole.ok());
-  EXPECT_TRUE(hole.value.Field("item").is_nil());
+  EXPECT_TRUE(hole.value().Field("item").is_nil());
 }
 
 TEST(MapFileTest, OutOfRangeAndBadArgs) {
@@ -256,7 +256,7 @@ TEST(MapFileTest, CheckpointAndRecovery) {
   kernel.Crash(uid);
   InvokeResult read = kernel.InvokeAndRun(uid, "ReadAt", Value().Set("index", Value(0)));
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value.Field("item"), Value("a"));  // uncheckpointed write lost
+  EXPECT_EQ(read.value().Field("item"), Value("a"));  // uncheckpointed write lost
 }
 
 TEST(MapFileTest, TruncateResetsCursorSafely) {
@@ -265,15 +265,15 @@ TEST(MapFileTest, TruncateResetsCursorSafely) {
       ValueList{Value(1), Value(2), Value(3)});
   // Read one item on the shared channel, then truncate below the cursor.
   InvokeResult first = kernel.InvokeAndRun(file.uid(), "Transfer",
-                                           MakeTransferArgs(Value(0), 2));
+                                           TransferArgs{Value(0), 2});
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(kernel.InvokeAndRun(file.uid(), "Truncate",
                                   Value().Set("length", Value(1)))
                   .ok());
   InvokeResult rest = kernel.InvokeAndRun(file.uid(), "Transfer",
-                                          MakeTransferArgs(Value(0), 10));
+                                          TransferArgs{Value(0), 10});
   ASSERT_TRUE(rest.ok());
-  EXPECT_TRUE(rest.value.Field(kFieldEnd).BoolOr(false));
+  EXPECT_TRUE(rest.As<BatchReply>()->end);
 }
 
 }  // namespace

@@ -347,7 +347,7 @@ InvokeResult InvokeQuiescent(Kernel& kernel, Uid target, std::string op,
 }
 
 std::string Describe(const InvokeResult& r) {
-  return r.status.ToString() + " " + r.value.ToString();
+  return r.status.ToString() + " " + r.value().ToString();
 }
 
 // Answers "Tag" with tag * 10 + the number of Tag calls so far.
@@ -374,7 +374,7 @@ class Borrower : public Eject {
  private:
   Task<void> Use(InvocationContext ctx) {
     InvokeResult r = co_await Invoke(ctx.Arg("child").UidOr(Uid()), "Tag");
-    ctx.ReplyStatus(r.status, std::move(r.value));
+    ctx.ReplyStatus(r.status, std::move(r.body));
   }
 };
 
@@ -393,7 +393,7 @@ class Maker : public Eject {
     InvokeResult own = co_await Invoke(child, "Tag");
     InvokeResult lent =
         co_await Invoke(borrower_, "Use", Value().Set("child", Value(child)));
-    ValueList both = {own.value, lent.value};
+    ValueList both = {own.value(), lent.value()};
     ctx.ReplyStatus(lent.status, Value(std::move(both)));
   }
 
@@ -429,7 +429,7 @@ CreationRun RunCreationInWindow(int shards) {
     kernel.ExternalInvoke(maker.uid(), "Make", Value().Set("tag", Value(tag)),
                           [&run](InvokeResult r) {
                             EXPECT_TRUE(r.ok()) << r.status;
-                            run.replies.push_back(std::move(r.value));
+                            run.replies.push_back(r.value());
                           });
   }
   EXPECT_TRUE(kernel.Run());
@@ -537,7 +537,7 @@ class Witness : public Eject {
   Task<void> Revive(InvocationContext ctx) {
     co_await Sleep(100);
     InvokeResult r = co_await Invoke(ctx.Arg("target").UidOr(Uid()), "Get");
-    ctx.ReplyStatus(r.status, std::move(r.value));
+    ctx.ReplyStatus(r.status, std::move(r.body));
   }
 
   ValueList woken_;
@@ -657,9 +657,11 @@ class OneShotReader : public Eject {
 
  private:
   Task<void> Read(InvocationContext ctx) {
-    InvokeResult r = co_await Invoke(
-        source_, "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
-    ctx.ReplyStatus(r.status, std::move(r.value));
+    // A named record: GCC 12 destroys a braced temporary inside a co_await
+    // expression twice.
+    TransferArgs args{Value(std::string(kChanOut)), 1};
+    InvokeResult r = co_await Invoke(source_, "Transfer", std::move(args));
+    ctx.ReplyStatus(r.status, std::move(r.body));
   }
 
   Uid source_;
@@ -698,7 +700,7 @@ TEST(ShardedHandles, SetShardsKeepsEjectsAndParkedReads) {
   EXPECT_TRUE(kernel.Run());
   ASSERT_EQ(first.size(), 1u);
   ASSERT_TRUE(first[0].ok()) << first[0].status;
-  EXPECT_EQ(first[0].value.Field(kFieldItems), Value(ValueList{Value(std::string("one"))}));
+  EXPECT_EQ(first[0].As<BatchReply>()->items, (ValueList{Value(std::string("one"))}));
 
   // Parked at 4 shards; back to 1 and completed sequentially.
   std::vector<InvokeResult> second;
@@ -709,7 +711,7 @@ TEST(ShardedHandles, SetShardsKeepsEjectsAndParkedReads) {
   EXPECT_TRUE(kernel.Run());
   ASSERT_EQ(second.size(), 1u);
   ASSERT_TRUE(second[0].ok()) << second[0].status;
-  EXPECT_EQ(second[0].value.Field(kFieldItems), Value(ValueList{Value(std::string("two"))}));
+  EXPECT_EQ(second[0].As<BatchReply>()->items, (ValueList{Value(std::string("two"))}));
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(StreamServerTest, ParkedRequestsCountTheVacuum) {
   ManualSource& source = kernel.CreateLocal<ManualSource>();
   for (int i = 0; i < 4; ++i) {
     kernel.ExternalInvoke(source.uid(), "Transfer",
-                          MakeTransferArgs(Value(std::string(kChanOut)), 1),
+                          TransferArgs{Value(std::string(kChanOut)), 1},
                           [](InvokeResult) {});
   }
   kernel.Run();
@@ -76,10 +76,10 @@ TEST(StreamServerTest, BatchedTransferTakesUpToMax) {
   }
   kernel.Run();
   InvokeResult r = kernel.InvokeAndRun(
-      source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 3));
+      source.uid(), "Transfer", TransferArgs{Value(std::string(kChanOut)), 3});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value.Field(kFieldItems).Size(), 3u);
-  EXPECT_FALSE(r.value.Field(kFieldEnd).BoolOr(false));
+  EXPECT_EQ(r.As<BatchReply>()->items.size(), 3u);
+  EXPECT_FALSE(r.As<BatchReply>()->end);
   EXPECT_EQ(source.server.buffered(kChanOut), 2u);
 }
 
@@ -90,10 +90,10 @@ TEST(StreamServerTest, EndAccompaniesFinalItems) {
   kernel.Run();
   source.CloseOut();
   InvokeResult r = kernel.InvokeAndRun(
-      source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 8));
+      source.uid(), "Transfer", TransferArgs{Value(std::string(kChanOut)), 8});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value.Field(kFieldItems).Size(), 1u);
-  EXPECT_TRUE(r.value.Field(kFieldEnd).BoolOr(false));  // no extra round trip
+  EXPECT_EQ(r.As<BatchReply>()->items.size(), 1u);
+  EXPECT_TRUE(r.As<BatchReply>()->end);  // no extra round trip
 }
 
 TEST(StreamServerTest, TransferAfterEndIsEmptyEnd) {
@@ -102,10 +102,10 @@ TEST(StreamServerTest, TransferAfterEndIsEmptyEnd) {
   source.CloseOut();
   for (int i = 0; i < 2; ++i) {
     InvokeResult r = kernel.InvokeAndRun(
-        source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
+        source.uid(), "Transfer", TransferArgs{Value(std::string(kChanOut)), 1});
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value.Field(kFieldItems).Size(), 0u);
-    EXPECT_TRUE(r.value.Field(kFieldEnd).BoolOr(false));
+    EXPECT_EQ(r.As<BatchReply>()->items.size(), 0u);
+    EXPECT_TRUE(r.As<BatchReply>()->end);
   }
 }
 
@@ -123,7 +123,7 @@ TEST(StreamServerTest, AbortFailsParkedAndFutureTransfers) {
   ManualSource& source = kernel.CreateLocal<ManualSource>();
   Status parked_status;
   kernel.ExternalInvoke(source.uid(), "Transfer",
-                        MakeTransferArgs(Value(std::string(kChanOut)), 1),
+                        TransferArgs{Value(std::string(kChanOut)), 1},
                         [&](InvokeResult r) { parked_status = r.status; });
   kernel.Run();
   source.Fail(Status(StatusCode::kUnavailable, "upstream died"));
@@ -131,7 +131,7 @@ TEST(StreamServerTest, AbortFailsParkedAndFutureTransfers) {
   EXPECT_TRUE(parked_status.is(StatusCode::kUnavailable));
 
   InvokeResult later = kernel.InvokeAndRun(
-      source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
+      source.uid(), "Transfer", TransferArgs{Value(std::string(kChanOut)), 1});
   EXPECT_TRUE(later.status.is(StatusCode::kUnavailable));
 }
 
@@ -157,7 +157,7 @@ TEST(StreamServerTest, TeardownCancelsParkedTransfersInArrivalOrder) {
   std::vector<std::pair<int, StatusCode>> answers;
   auto transfer = [&](int caller) {
     kernel.ExternalInvoke(source.uid(), "Transfer",
-                          MakeTransferArgs(Value(std::string(kChanOut)), 1),
+                          TransferArgs{Value(std::string(kChanOut)), 1},
                           [&answers, caller](InvokeResult r) {
                             answers.emplace_back(caller, r.status.code());
                           });
@@ -192,9 +192,9 @@ TEST(StreamServerTest, ZeroCapacityIsPureRendezvous) {
   EXPECT_EQ(source.server.buffered(kChanOut), 0u);
 
   InvokeResult r = kernel.InvokeAndRun(
-      source.uid(), "Transfer", MakeTransferArgs(Value(std::string(kChanOut)), 1));
+      source.uid(), "Transfer", TransferArgs{Value(std::string(kChanOut)), 1});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value.Field(kFieldItems).Size(), 1u);
+  EXPECT_EQ(r.As<BatchReply>()->items.size(), 1u);
 }
 
 // ------------------------------------------------------------ StreamAcceptor
@@ -230,7 +230,7 @@ TEST(StreamAcceptorTest, WithholdsPushRepliesOverCapacity) {
   for (int i = 0; i < 5; ++i) {
     kernel.ExternalInvoke(
         sink.uid(), "Push",
-        MakePushArgs(Value(std::string(kChanIn)), {Value(int64_t{i})}, false),
+        PushArgs{Value(std::string(kChanIn)), {Value(int64_t{i})}, false},
         [&](InvokeResult r) {
           EXPECT_TRUE(r.ok());
           acknowledged++;
@@ -259,7 +259,7 @@ TEST(StreamAcceptorTest, EndWakesConsumer) {
   kernel.Run();
   EXPECT_FALSE(sink.last.has_value());  // still blocked
   kernel.ExternalInvoke(sink.uid(), "Push",
-                        MakePushArgs(Value(std::string(kChanIn)), {}, true),
+                        PushArgs{Value(std::string(kChanIn)), {}, true},
                         [](InvokeResult) {});
   kernel.Run();
   EXPECT_TRUE(sink.acceptor.ended(kChanIn));
@@ -269,7 +269,7 @@ TEST(StreamAcceptorTest, UnknownChannelRejected) {
   Kernel kernel;
   ManualSink& sink = kernel.CreateLocal<ManualSink>();
   InvokeResult r = kernel.InvokeAndRun(
-      sink.uid(), "Push", MakePushArgs(Value("bogus"), {Value(1)}, false));
+      sink.uid(), "Push", PushArgs{Value("bogus"), {Value(1)}, false});
   EXPECT_TRUE(r.status.is(StatusCode::kNoSuchChannel));
 }
 

@@ -24,7 +24,7 @@ class TxnFixture : public ::testing::Test {
     }
     InvokeResult r = kernel_.InvokeAndRun(manager_uid_, "Begin", args);
     EXPECT_TRUE(r.ok()) << r.status;
-    return r.value.Field("txn").UidOr(Uid());
+    return r.value().Field("txn").UidOr(Uid());
   }
 
   Status Enlist(Uid txn, Uid file) {
@@ -68,13 +68,13 @@ class TxnFixture : public ::testing::Test {
     if (!r.ok()) {
       return std::nullopt;
     }
-    return r.value.Field("line").StrOr("");
+    return r.value().Field("line").StrOr("");
   }
 
   std::string TxnState(Uid txn) {
     InvokeResult r = kernel_.InvokeAndRun(manager_uid_, "Status",
                                           Value().Set("txn", Value(txn)));
-    return r.value.Field("state").StrOr("?");
+    return r.value().Field("state").StrOr("?");
   }
 
   Kernel kernel_;
@@ -107,7 +107,7 @@ TEST_F(TxnFixture, CommitMakesWritesVisibleAndDurable) {
   InvokeResult sz = kernel_.InvokeAndRun(
       file_uid, "TSize", Value().Set("txn", Value(Begin())));
   ASSERT_TRUE(sz.ok()) << sz.status;
-  EXPECT_EQ(sz.value.Field("lines"), Value(3));
+  EXPECT_EQ(sz.value().Field("lines"), Value(3));
 }
 
 TEST_F(TxnFixture, AbortDiscardsWrites) {
@@ -242,7 +242,7 @@ TEST_F(TxnFixture, CrashBetweenPrepareAndCommitRecoversViaOutcome) {
   InvokeResult read = kernel_.InvokeAndRun(
       file_uid, "TRead", Value().Set("txn", Value(Begin())).Set("index", Value(0)));
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.value.Field("line"), Value("v1"));
+  EXPECT_EQ(read.value().Field("line"), Value("v1"));
 }
 
 TEST_F(TxnFixture, ResolveShadowsAppliesCommittedAndDropsUnknown) {
@@ -281,14 +281,14 @@ TEST_F(TxnFixture, ResolveShadowsAppliesCommittedAndDropsUnknown) {
   InvokeResult resolved = kernel_.InvokeAndRun(
       file_uid, "ResolveShadows", Value().Set("manager", Value(manager_uid_)));
   ASSERT_TRUE(resolved.ok()) << resolved.status;
-  EXPECT_EQ(resolved.value.Field("discarded"), Value(1));  // presumed abort
+  EXPECT_EQ(resolved.value().Field("discarded"), Value(1));  // presumed abort
 
   InvokeResult read = kernel_.InvokeAndRun(
       file_uid, "TRead", Value().Set("txn", Value(Begin())).Set("index", Value(0)));
-  EXPECT_EQ(read.value.Field("line"), Value("committed"));
+  EXPECT_EQ(read.value().Field("line"), Value("committed"));
   InvokeResult size = kernel_.InvokeAndRun(file_uid, "TSize",
                                            Value().Set("txn", Value(Begin())));
-  EXPECT_EQ(size.value.Field("lines"), Value(1));  // orphan append gone
+  EXPECT_EQ(size.value().Field("lines"), Value(1));  // orphan append gone
 }
 
 TEST_F(TxnFixture, CoordinatorCrashForgetsActiveTransactions) {

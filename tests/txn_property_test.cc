@@ -104,7 +104,7 @@ class TxnDriver {
     }
     InvokeResult r = kernel_.InvokeAndRun(manager_->uid(), "Begin", args);
     EXPECT_TRUE(r.ok());
-    Uid txn = r.value.Field("txn").UidOr(Uid());
+    Uid txn = r.value().Field("txn").UidOr(Uid());
     EXPECT_TRUE(kernel_
                     .InvokeAndRun(manager_->uid(), "Enlist",
                                   Value().Set("txn", Value(txn)).Set("file",
