@@ -86,7 +86,7 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     }
     if (ch->sequenced) {
       mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      "acceptor.next", ch->next_seq);
+                      SeqCounter::kAcceptorNext, ch->next_seq);
     }
   }
   ch->ReportDepth();

@@ -228,7 +228,7 @@ void StreamServer::Pump(OutChannel& channel) {
       }
       if (channel.sequenced) {
         mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(),
-                        owner_.kernel().now(), "server.next", channel.next_seq);
+                        owner_.kernel().now(), SeqCounter::kServerNext, channel.next_seq);
       }
     }
     if (redelivered) {
@@ -281,7 +281,7 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
     }
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
       mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      "server.ack", ch->replay_base);
+                      SeqCounter::kServerAck, ch->replay_base);
     }
   }
   Parked parked;

@@ -103,7 +103,7 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
     }
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
       mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      "writer.ack", replay_base_);
+                      SeqCounter::kWriterAck, replay_base_);
     }
     if (cursor_ < next) {
       cursor_ = std::min(next, total);

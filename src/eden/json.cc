@@ -102,220 +102,8 @@ std::string ValueToJson(const Value& value) {
 
 namespace {
 
-// Recursive-descent JSON validator. Tracks position for error reporting.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool Check(std::string* error) {
-    SkipWs();
-    if (!Element()) {
-      Report(error);
-      return false;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      message_ = "trailing characters after document";
-      Report(error);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void Report(std::string* error) const {
-    if (error != nullptr) {
-      *error = message_ + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  bool Eof() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void SkipWs() {
-    while (!Eof() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\n' ||
-                      Peek() == '\r')) {
-      pos_++;
-    }
-  }
-
-  bool Fail(const char* why) {
-    if (message_.empty()) {
-      message_ = why;
-    }
-    return false;
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return Fail("bad literal");
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool String() {
-    if (Eof() || Peek() != '"') {
-      return Fail("expected string");
-    }
-    pos_++;
-    while (!Eof() && Peek() != '"') {
-      if (static_cast<unsigned char>(Peek()) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (Peek() == '\\') {
-        pos_++;
-        if (Eof()) {
-          return Fail("truncated escape");
-        }
-        char e = Peek();
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            pos_++;
-            if (Eof() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
-              return Fail("bad \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape character");
-        }
-      }
-      pos_++;
-    }
-    if (Eof()) {
-      return Fail("unterminated string");
-    }
-    pos_++;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    size_t start = pos_;
-    if (!Eof() && Peek() == '-') {
-      pos_++;
-    }
-    if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return Fail("expected digit");
-    }
-    if (Peek() == '0') {
-      pos_++;
-    } else {
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    if (!Eof() && Peek() == '.') {
-      pos_++;
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Fail("expected fraction digit");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    if (!Eof() && (Peek() == 'e' || Peek() == 'E')) {
-      pos_++;
-      if (!Eof() && (Peek() == '+' || Peek() == '-')) {
-        pos_++;
-      }
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Fail("expected exponent digit");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    return pos_ > start;
-  }
-
-  bool Element() {
-    if (Eof()) {
-      return Fail("unexpected end of input");
-    }
-    switch (Peek()) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    pos_++;  // '{'
-    SkipWs();
-    if (!Eof() && Peek() == '}') {
-      pos_++;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!String()) {
-        return false;
-      }
-      SkipWs();
-      if (Eof() || Peek() != ':') {
-        return Fail("expected ':'");
-      }
-      pos_++;
-      SkipWs();
-      if (!Element()) {
-        return false;
-      }
-      SkipWs();
-      if (!Eof() && Peek() == ',') {
-        pos_++;
-        continue;
-      }
-      if (!Eof() && Peek() == '}') {
-        pos_++;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool Array() {
-    pos_++;  // '['
-    SkipWs();
-    if (!Eof() && Peek() == ']') {
-      pos_++;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!Element()) {
-        return false;
-      }
-      SkipWs();
-      if (!Eof() && Peek() == ',') {
-        pos_++;
-        continue;
-      }
-      if (!Eof() && Peek() == ']') {
-        pos_++;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string message_;
-};
-
-// Recursive-descent parser building Values; shares the checker's grammar.
+// Recursive-descent JSON parser (RFC 8259 syntax) building Values. Tracks
+// position for error reporting.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -596,7 +384,7 @@ class JsonParser {
 }  // namespace
 
 bool JsonValidate(std::string_view text, std::string* error) {
-  return JsonChecker(text).Check(error);
+  return JsonParse(text, error).has_value();
 }
 
 std::optional<Value> JsonParse(std::string_view text, std::string* error) {

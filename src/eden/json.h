@@ -3,9 +3,10 @@
 // The kernel's export formats (metrics snapshots, Chrome trace events, bench
 // result files) are all JSON; this is the one place that knows how to escape
 // strings, render a Value as *strict* JSON (Value::ToString is only
-// JSON-flavoured: nil, UIDs and bytes are not legal JSON there), and check a
-// document for well-formedness. The validator exists so tests can assert
-// "this output loads in Perfetto" without a third-party JSON dependency.
+// JSON-flavoured: nil, UIDs and bytes are not legal JSON there), and parse a
+// document back, without a third-party JSON dependency. One recursive-descent
+// parser serves both bench_compare's reads and the well-formedness checks
+// with which tests assert "this output loads in Perfetto".
 #ifndef SRC_EDEN_JSON_H_
 #define SRC_EDEN_JSON_H_
 
@@ -24,17 +25,17 @@ std::string JsonEscape(std::string_view s);
 // UID -> its "eden:..." string form, maps keep their (sorted) key order.
 std::string ValueToJson(const Value& value);
 
-// Validates that `text` is one well-formed JSON document (RFC 8259 syntax).
-// On failure returns false and, if `error` is non-null, sets a short message
-// with the byte offset of the problem.
+// Validates that `text` is one well-formed JSON document (RFC 8259 syntax):
+// whether JsonParse accepts it. On failure returns false and, if `error` is
+// non-null, sets a short message with the byte offset of the problem.
 bool JsonValidate(std::string_view text, std::string* error = nullptr);
 
 // Parses one JSON document into a Value (the inverse of ValueToJson, modulo
 // the lossy encodings: null -> nil, numbers without fraction/exponent ->
 // Int, others -> Real; UIDs and bytes come back as strings). Exists so
 // bench_compare can read BENCH_*.json files without a third-party JSON
-// dependency. Returns nullopt on malformed input (same diagnostics as
-// JsonValidate via `error`).
+// dependency. Returns nullopt on malformed input, with JsonValidate's
+// diagnostics via `error`.
 std::optional<Value> JsonParse(std::string_view text,
                                std::string* error = nullptr);
 

@@ -1139,9 +1139,7 @@ void Kernel::PublishShardMetrics() {
   if (metrics_ == nullptr) {
     return;
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    metrics_->RecordShardCounters(static_cast<int>(i), shards_[i]->counters);
-  }
+  metrics_->RecordShardCounters(shard_counters());
 }
 
 // ----------------------------------------------------------------- observation

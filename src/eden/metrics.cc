@@ -147,80 +147,47 @@ std::optional<QueueComponent> QueueComponentNamed(std::string_view name) {
   return std::nullopt;
 }
 
-namespace {
-
-// How two records of one key combine, oldest first.
-void MergeLatency(Log2Histogram& into, const Log2Histogram& from) { into.Merge(from); }
-void MergeGauge(MetricsRegistry::QueueGauge& into,
-                const MetricsRegistry::QueueGauge& from) {
-  into.depth = from.depth;
-  into.high_water = std::max(into.high_water, from.high_water);
-  into.samples += from.samples;
-}
-void MergeFlow(MetricsRegistry::FlowCounters& into,
-               const MetricsRegistry::FlowCounters& from) {
-  into.hiwat_hits += from.hiwat_hits;
-  into.putbacks += from.putbacks;
-  into.band_overtakes += from.band_overtakes;
-}
-void MergeCount(uint64_t& into, uint64_t from) { into += from; }
-
-}  // namespace
-
 void MetricsRegistry::Fold(int shards) {
-  for (Tables& tables : tables_) {
-    FoldInto(base_.latency, tables.latency, MergeLatency);
-    FoldInto(base_.queues, tables.queues, MergeGauge);
-    FoldInto(base_.flow, tables.flow, MergeFlow);
-    FoldInto(base_.invocations, tables.invocations, MergeCount);
-  }
-  if (tables_.size() < static_cast<size_t>(shards)) {
-    tables_.resize(static_cast<size_t>(shards));
-  }
+  latency_.Fold(shards);
+  queues_.Fold(shards);
+  flow_.Fold(shards);
+  invocations_.Fold(shards);
 }
 
 const Log2Histogram* MetricsRegistry::LatencyFor(std::string_view op) const {
-  const std::string key(op);
-  auto combined = CombinedAt(base_, tables_, &Tables::latency, key, MergeLatency);
-  return combined ? &(lookups_.latency[key] = *combined) : nullptr;
+  return latency_.Find(std::string(op));
 }
 
 const MetricsRegistry::QueueGauge* MetricsRegistry::QueueFor(
     std::string_view component, const Uid& owner) const {
   std::optional<QueueComponent> id = QueueComponentNamed(component);
-  if (!id) {
-    return nullptr;
-  }
-  const QueueKey key{*id, owner};
-  auto combined = CombinedAt(base_, tables_, &Tables::queues, key, MergeGauge);
-  return combined ? &(lookups_.queues[key] = *combined) : nullptr;
+  return id ? queues_.Find({*id, owner}) : nullptr;
 }
 
 const MetricsRegistry::FlowCounters* MetricsRegistry::FlowFor(
     std::string_view component, const Uid& owner) const {
   std::optional<QueueComponent> id = QueueComponentNamed(component);
-  if (!id) {
-    return nullptr;
-  }
-  const QueueKey key{*id, owner};
-  auto combined = CombinedAt(base_, tables_, &Tables::flow, key, MergeFlow);
-  return combined ? &(lookups_.flow[key] = *combined) : nullptr;
+  return id ? flow_.Find({*id, owner}) : nullptr;
 }
 
 uint64_t MetricsRegistry::InvocationsTo(const Uid& target) const {
-  return CombinedAt(base_, tables_, &Tables::invocations, target, MergeCount).value_or(0);
+  const uint64_t* count = invocations_.Find(target);
+  return count != nullptr ? *count : 0;
 }
 
 std::vector<std::pair<int, ShardCounters>> MetricsRegistry::ShardSnapshot() const {
-  return {shards_.begin(), shards_.end()};
+  std::vector<std::pair<int, ShardCounters>> out;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    out.emplace_back(static_cast<int>(i), shards_[i]);
+  }
+  return out;
 }
 
 void MetricsRegistry::Clear() {
-  for (Tables& tables : tables_) {
-    tables = Tables{};
-  }
-  base_ = Tables{};
-  lookups_ = Tables{};
+  latency_.Clear();
+  queues_.Clear();
+  flow_.Clear();
+  invocations_.Clear();
   shards_.clear();
 }
 
@@ -233,21 +200,13 @@ std::string MetricsRegistry::KeyName(const QueueKey& key) const {
   return std::string(QueueComponentName(key.first)) + "/" + NameOf(key.second);
 }
 
-MetricsRegistry::Combined MetricsRegistry::Combine() const {
-  return Combined{SortedUnion(base_, tables_, &Tables::latency, MergeLatency),
-                  SortedUnion(base_, tables_, &Tables::queues, MergeGauge),
-                  SortedUnion(base_, tables_, &Tables::flow, MergeFlow),
-                  SortedUnion(base_, tables_, &Tables::invocations, MergeCount)};
-}
-
 Value MetricsRegistry::Snapshot() const {
-  const Combined all = Combine();
   Value latency;
-  for (const auto& [op, histogram] : all.latency) {
+  for (const auto& [op, histogram] : latency_.Sorted()) {
     latency.Set(op, histogram.ToValue());
   }
   Value queues;
-  for (const auto& [key, gauge] : all.queues) {
+  for (const auto& [key, gauge] : queues_.Sorted()) {
     Value entry;
     entry.Set("depth", Value(static_cast<uint64_t>(gauge.depth)));
     entry.Set("high_water", Value(static_cast<uint64_t>(gauge.high_water)));
@@ -255,7 +214,7 @@ Value MetricsRegistry::Snapshot() const {
     queues.Set(KeyName(key), std::move(entry));
   }
   Value flow;
-  for (const auto& [key, counters] : all.flow) {
+  for (const auto& [key, counters] : flow_.Sorted()) {
     Value entry;
     entry.Set("hiwat_hits", Value(counters.hiwat_hits));
     entry.Set("putbacks", Value(counters.putbacks));
@@ -263,11 +222,11 @@ Value MetricsRegistry::Snapshot() const {
     flow.Set(KeyName(key), std::move(entry));
   }
   Value invocations;
-  for (const auto& [uid, count] : all.invocations) {
+  for (const auto& [uid, count] : invocations_.Sorted()) {
     invocations.Set(NameOf(uid), Value(count));
   }
   Value shards;
-  for (const auto& [index, counters] : shards_) {
+  for (const auto& [index, counters] : ShardSnapshot()) {
     Value entry;
     entry.Set("events_processed", Value(counters.events_processed));
     entry.Set("cross_shard_sends", Value(counters.cross_shard_sends));
@@ -294,10 +253,9 @@ Value MetricsRegistry::Snapshot() const {
 std::string MetricsRegistry::ToJson() const { return ValueToJson(Snapshot()); }
 
 std::string MetricsRegistry::ToString() const {
-  const Combined all = Combine();
   std::string out;
   char buf[256];
-  for (const auto& [op, h] : all.latency) {
+  for (const auto& [op, h] : latency_.Sorted()) {
     std::snprintf(buf, sizeof(buf),
                   "latency %-16s count=%llu mean=%.1f p50=%llu p90=%llu "
                   "p99=%llu max=%llu\n",
@@ -308,14 +266,14 @@ std::string MetricsRegistry::ToString() const {
                   static_cast<unsigned long long>(h.max()));
     out += buf;
   }
-  for (const auto& [key, gauge] : all.queues) {
+  for (const auto& [key, gauge] : queues_.Sorted()) {
     std::snprintf(buf, sizeof(buf),
                   "queue   %-28s depth=%zu high_water=%zu samples=%llu\n",
                   KeyName(key).c_str(), gauge.depth,
                   gauge.high_water, static_cast<unsigned long long>(gauge.samples));
     out += buf;
   }
-  for (const auto& [key, counters] : all.flow) {
+  for (const auto& [key, counters] : flow_.Sorted()) {
     std::snprintf(buf, sizeof(buf),
                   "flow    %-28s hiwat_hits=%llu putbacks=%llu "
                   "band_overtakes=%llu\n",
@@ -325,12 +283,12 @@ std::string MetricsRegistry::ToString() const {
                   static_cast<unsigned long long>(counters.band_overtakes));
     out += buf;
   }
-  for (const auto& [uid, count] : all.invocations) {
+  for (const auto& [uid, count] : invocations_.Sorted()) {
     std::snprintf(buf, sizeof(buf), "invoked %-16s count=%llu\n",
                   NameOf(uid).c_str(), static_cast<unsigned long long>(count));
     out += buf;
   }
-  for (const auto& [index, c] : shards_) {
+  for (const auto& [index, c] : ShardSnapshot()) {
     std::snprintf(buf, sizeof(buf),
                   "shard   %-4d events=%llu cross_sends=%llu stalls=%llu "
                   "windows=%llu mbox_hiwat=%llu overflows=%llu\n",

@@ -12,6 +12,11 @@
 // installed (Kernel::set_metrics(nullptr), the default) the kernel and the
 // stream components skip every recording site behind a single null check,
 // preserving the tracer-unset fast path.
+//
+// Each of the four figures (latency, queue gauges, flow counters,
+// invocation counts) is one ShardedTable (shard_tables.h): the hooks record
+// into their home shard's map, and the reads combine the maps through the
+// figure's combine rule.
 #ifndef SRC_EDEN_METRICS_H_
 #define SRC_EDEN_METRICS_H_
 
@@ -20,7 +25,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -121,12 +125,26 @@ class MetricsRegistry {
     size_t depth = 0;       // most recent sample
     size_t high_water = 0;  // largest sample ever
     uint64_t samples = 0;
+
+    // Folds in a later record of the same queue.
+    void Merge(const QueueGauge& later) {
+      depth = later.depth;
+      high_water = later.high_water > high_water ? later.high_water : high_water;
+      samples += later.samples;
+    }
   };
 
   struct FlowCounters {
     uint64_t hiwat_hits = 0;
     uint64_t putbacks = 0;
     uint64_t band_overtakes = 0;
+
+    FlowCounters& operator+=(const FlowCounters& o) {
+      hiwat_hits += o.hiwat_hits;
+      putbacks += o.putbacks;
+      band_overtakes += o.band_overtakes;
+      return *this;
+    }
   };
 
   // ---- Recording hooks (kernel and stream components; callers gate on the
@@ -138,21 +156,18 @@ class MetricsRegistry {
   // maxima) or, for a queue's depth, a last value that only its own home
   // shard records, so what the reads combine is the same at any shard count.
   void RecordLatency(const std::string& op, uint64_t ticks, int shard = 0) {
-    TablesFor(shard).latency[op].Record(ticks);
+    latency_.Shard(shard)[op].Record(ticks);
   }
   void CountInvocation(const Uid& target, int shard = 0) {
-    TablesFor(shard).invocations[target]++;
+    invocations_.Shard(shard)[target]++;
   }
   void RecordQueueDepth(QueueComponent component, const Uid& owner,
                         size_t depth, int shard = 0) {
-    QueueGauge& gauge = TablesFor(shard).queues[{component, owner}];
-    gauge.depth = depth;
-    gauge.high_water = depth > gauge.high_water ? depth : gauge.high_water;
-    gauge.samples++;
+    queues_.Shard(shard)[{component, owner}].Merge({depth, depth, 1});
   }
   void CountFlowEvent(QueueComponent component, const Uid& owner,
                       FlowEvent event, int shard = 0) {
-    FlowCounters& counters = TablesFor(shard).flow[{component, owner}];
+    FlowCounters& counters = flow_.Shard(shard)[{component, owner}];
     switch (event) {
       case FlowEvent::kHiwatHit: counters.hiwat_hits++; break;
       case FlowEvent::kPutBack: counters.putbacks++; break;
@@ -167,10 +182,11 @@ class MetricsRegistry {
   // registry; nothing else folds.
   void Fold(int shards = 1);
 
-  // Published by the kernel after each run (replacing any previous counters
-  // for that shard, so the registry always reflects the most recent run).
-  void RecordShardCounters(int shard, const ShardCounters& counters) {
-    shards_[shard] = counters;
+  // Published by the kernel after each run, one entry per shard, replacing
+  // every previous entry, so the registry always reflects the most recent
+  // run (and a re-partition to fewer shards leaves no stale rows).
+  void RecordShardCounters(std::vector<ShardCounters> counters) {
+    shards_ = std::move(counters);
   }
 
   // Pretty names for snapshot keys (defaults to the short UID).
@@ -200,44 +216,19 @@ class MetricsRegistry {
   std::string ToString() const;
 
  private:
-  // One shard's recorded facts (or, in the base, those recorded before the
-  // last fold). Latency is keyed by a handful of operation names; the rest
-  // by queue or Eject, tens of thousands of keys on a wide topology, so
-  // they hash, and the reads sort.
-  struct alignas(64) Tables {
-    std::map<std::string, Log2Histogram> latency;
-    std::unordered_map<QueueKey, QueueGauge, PairHash> queues;
-    std::unordered_map<QueueKey, FlowCounters, PairHash> flow;
-    std::unordered_map<Uid, uint64_t, Uid::Hash> invocations;
-  };
-
-  // Grows the slot vector only outside a parallel run (a hook called
-  // directly may name any shard): Fold sized it for a parallel run's workers
-  // when the kernel installed the registry or re-partitioned.
-  Tables& TablesFor(int shard) {
-    if (static_cast<size_t>(shard) >= tables_.size()) {
-      tables_.resize(static_cast<size_t>(shard) + 1);
-    }
-    return tables_[static_cast<size_t>(shard)];
-  }
-  // Every table of the base and the shards, combined and sorted by key.
-  struct Combined {
-    std::vector<std::pair<std::string, Log2Histogram>> latency;
-    std::vector<std::pair<QueueKey, QueueGauge>> queues;
-    std::vector<std::pair<QueueKey, FlowCounters>> flow;
-    std::vector<std::pair<Uid, uint64_t>> invocations;
-  };
-  Combined Combine() const;
   std::string NameOf(const Uid& uid) const;
   // "component/name", the snapshot key of a queue.
   std::string KeyName(const QueueKey& key) const;
 
-  std::vector<Tables> tables_ = std::vector<Tables>(1);  // one per shard
-  Tables base_;
-  // The point lookups' combined values.
-  mutable Tables lookups_;
+  // Latency is keyed by a handful of operation names; the rest by queue or
+  // Eject, tens of thousands of keys on a wide topology, so they hash, and
+  // the reads sort.
+  ShardedTable<std::map<std::string, Log2Histogram>, &Log2Histogram::Merge> latency_;
+  ShardedTable<HashMap<QueueKey, QueueGauge>, &QueueGauge::Merge> queues_;
+  ShardedTable<HashMap<QueueKey, FlowCounters>, &Add<FlowCounters>> flow_;
+  ShardedTable<HashMap<Uid, uint64_t>, &Add<uint64_t>> invocations_;
   std::map<Uid, std::string> labels_;
-  std::map<int, ShardCounters> shards_;
+  std::vector<ShardCounters> shards_;  // indexed by shard
 };
 
 }  // namespace eden

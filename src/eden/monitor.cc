@@ -31,32 +31,29 @@ const char* KindName(InvariantMonitor::Violation::Kind kind) {
   return "unknown";
 }
 
-void AddFlow(InvariantMonitor::Flow& into, const InvariantMonitor::Flow& from) {
-  into += from;
-}
-void AddCount(uint64_t& into, uint64_t from) { into += from; }
-
 }  // namespace
 
-template <typename Map>
-InvariantMonitor::Flow InvariantMonitor::Add(Map& table, const Map& base,
-                                             const typename Map::key_type& key,
-                                             uint64_t Flow::*field,
-                                             uint64_t items) {
-  Flow& added = table[key];
+template <typename Table>
+InvariantMonitor::Flow InvariantMonitor::Record(Table& table, int shard,
+                                                const typename Table::Key& key,
+                                                uint64_t Flow::*field,
+                                                uint64_t items) {
+  Flow& added = table.Shard(shard)[key];
   added.*field += items;
   Flow total = added;
-  if (!base.empty()) {
-    if (auto it = base.find(key); it != base.end()) {
-      total += it->second;
-    }
+  if (const Flow* base = table.Base(key)) {
+    total += *base;
   }
   return total;
 }
 
 void InvariantMonitor::Report(int shard, Violation::Kind kind, Tick at,
                               const Uid& stage, std::string detail) {
-  TablesFor(shard).found.push_back(Violation{kind, at, stage, std::move(detail)});
+  if (static_cast<size_t>(shard) >= found_.size()) {
+    found_.resize(static_cast<size_t>(shard) + 1);
+  }
+  found_[static_cast<size_t>(shard)].list.push_back(
+      Violation{kind, at, stage, std::move(detail)});
 }
 
 void InvariantMonitor::Emit(Violation violation) const {
@@ -75,10 +72,10 @@ void InvariantMonitor::Emit(Violation violation) const {
 
 void InvariantMonitor::FlushViolations() const {
   std::vector<Violation> found;
-  for (const Tables& tables : tables_) {
-    found.insert(found.end(), std::make_move_iterator(tables.found.begin()),
-                 std::make_move_iterator(tables.found.end()));
-    tables.found.clear();
+  for (Found& shard : found_) {
+    found.insert(found.end(), std::make_move_iterator(shard.list.begin()),
+                 std::make_move_iterator(shard.list.end()));
+    shard.list.clear();
   }
   std::stable_sort(found.begin(), found.end(),
                    [](const Violation& a, const Violation& b) {
@@ -91,16 +88,13 @@ void InvariantMonitor::FlushViolations() const {
 
 void InvariantMonitor::Fold(int shards) {
   FlushViolations();
-  for (Tables& tables : tables_) {
-    FoldInto(base_.flows, tables.flows, AddFlow);
-    FoldInto(base_.bands, tables.bands, AddFlow);
-    FoldInto(base_.pulled_from, tables.pulled_from, AddCount);
-    FoldInto(base_.pushed_into, tables.pushed_into, AddCount);
-    FoldInto(base_.sequences, tables.sequences,
-             [](uint64_t& into, uint64_t from) { into = from; });
-  }
-  if (tables_.size() < static_cast<size_t>(shards)) {
-    tables_.resize(static_cast<size_t>(shards));
+  flows_.Fold(shards);
+  bands_.Fold(shards);
+  pulled_from_.Fold(shards);
+  pushed_into_.Fold(shards);
+  sequences_.Fold(shards);
+  if (found_.size() < static_cast<size_t>(shards)) {
+    found_.resize(static_cast<size_t>(shards));
   }
 }
 
@@ -144,7 +138,7 @@ void InvariantMonitor::OnTraceEvent(const TraceEvent& event) {
 
 void InvariantMonitor::OnProduced(int shard, const Uid& stage, Tick,
                                   uint64_t items) {
-  Add(TablesFor(shard).flows, base_.flows, stage, &Flow::produced, items);
+  Record(flows_, shard, stage, &Flow::produced, items);
 }
 
 void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
@@ -159,31 +153,26 @@ void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
 
 void InvariantMonitor::OnServed(int shard, const Uid& stage, Tick at,
                                 uint64_t items) {
-  CheckDelivered(shard, stage, at,
-                 Add(TablesFor(shard).flows, base_.flows, stage, &Flow::served, items));
+  CheckDelivered(shard, stage, at, Record(flows_, shard, stage, &Flow::served, items));
 }
 
 void InvariantMonitor::OnPushed(int shard, const Uid& stage, const Uid& sink,
                                 Tick at, uint64_t items) {
-  Tables& tables = TablesFor(shard);
-  tables.pushed_into[sink] += items;
-  CheckDelivered(shard, stage, at,
-                 Add(tables.flows, base_.flows, stage, &Flow::pushed, items));
+  pushed_into_.Shard(shard)[sink] += items;
+  CheckDelivered(shard, stage, at, Record(flows_, shard, stage, &Flow::pushed, items));
 }
 
 void InvariantMonitor::OnPulled(int shard, const Uid& stage, const Uid& source,
                                 Tick, uint64_t items) {
-  Tables& tables = TablesFor(shard);
-  tables.pulled_from[source] += items;
-  Add(tables.flows, base_.flows, stage, &Flow::pulled, items);
+  pulled_from_.Shard(shard)[source] += items;
+  Record(flows_, shard, stage, &Flow::pulled, items);
 }
 
 void InvariantMonitor::OnAccepted(int shard, const Uid& stage, Tick,
                                   uint64_t items, int band) {
-  Tables& tables = TablesFor(shard);
-  Add(tables.flows, base_.flows, stage, &Flow::accepted, items);
+  Record(flows_, shard, stage, &Flow::accepted, items);
   if (band >= 0) {
-    Add(tables.bands, base_.bands, {stage, band}, &Flow::accepted, items);
+    Record(bands_, shard, {stage, band}, &Flow::accepted, items);
   }
 }
 
@@ -213,42 +202,38 @@ void InvariantMonitor::CheckTaken(int shard, const Uid& stage, Tick at,
 
 void InvariantMonitor::OnConsumed(int shard, const Uid& stage, Tick at,
                                   uint64_t items, int band) {
-  Tables& tables = TablesFor(shard);
   CheckTaken(shard, stage, at, -1,
-             Add(tables.flows, base_.flows, stage, &Flow::consumed, items), false);
+             Record(flows_, shard, stage, &Flow::consumed, items), false);
   if (band >= 0) {
     CheckTaken(shard, stage, at, band,
-               Add(tables.bands, base_.bands, {stage, band}, &Flow::consumed, items),
-               false);
+               Record(bands_, shard, {stage, band}, &Flow::consumed, items), false);
   }
 }
 
 void InvariantMonitor::OnPutBack(int shard, const Uid& stage, Tick at,
                                  uint64_t items, int band) {
-  Tables& tables = TablesFor(shard);
   CheckTaken(shard, stage, at, -1,
-             Add(tables.flows, base_.flows, stage, &Flow::putback, items), true);
+             Record(flows_, shard, stage, &Flow::putback, items), true);
   if (band >= 0) {
     CheckTaken(shard, stage, at, band,
-               Add(tables.bands, base_.bands, {stage, band}, &Flow::putback, items),
-               true);
+               Record(bands_, shard, {stage, band}, &Flow::putback, items), true);
   }
 }
 
 void InvariantMonitor::OnSequence(int shard, const Uid& stage, Tick at,
-                                  std::string_view counter, uint64_t value) {
-  auto key = std::make_pair(stage, std::string(counter));
-  auto [it, fresh] = TablesFor(shard).sequences.try_emplace(key, value);
+                                  SeqCounter counter, uint64_t value) {
+  const std::pair<Uid, SeqCounter> key{stage, counter};
+  auto [it, fresh] = sequences_.Shard(shard).try_emplace(key, value);
   if (fresh) {
-    auto base = base_.sequences.find(key);
-    if (base == base_.sequences.end()) {
+    const uint64_t* base = sequences_.Base(key);
+    if (base == nullptr) {
       return;
     }
-    it->second = base->second;
+    it->second = *base;
   }
   if (value < it->second) {
     Report(shard, Violation::Kind::kSequence, at, stage,
-           NameOf(stage) + " " + std::string(counter) + " regressed " +
+           NameOf(stage) + " " + std::string(SeqCounterName(counter)) + " regressed " +
                std::to_string(it->second) + " -> " + std::to_string(value));
   }
   it->second = value;
@@ -285,26 +270,19 @@ uint64_t InvariantMonitor::invocations_of(std::string_view op) const {
   return it == invocations_by_op_.end() ? 0 : it->second;
 }
 
-InvariantMonitor::Combined InvariantMonitor::Combine() const {
-  return Combined{SortedUnion(base_, tables_, &Tables::flows, AddFlow),
-                  SortedUnion(base_, tables_, &Tables::bands, AddFlow),
-                  SortedUnion(base_, tables_, &Tables::pulled_from, AddCount),
-                  SortedUnion(base_, tables_, &Tables::pushed_into, AddCount)};
-}
-
 std::map<Uid, InvariantMonitor::Flow> InvariantMonitor::flows() const {
-  std::vector<std::pair<Uid, Flow>> sorted =
-      SortedUnion(base_, tables_, &Tables::flows, AddFlow);
+  std::vector<std::pair<Uid, Flow>> sorted = flows_.Sorted();
   return {sorted.begin(), sorted.end()};
 }
 
 std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
   FlushViolations();
-  return Check(Combine());
+  return Check(flows_.Sorted());
 }
 
 std::vector<InvariantMonitor::Violation> InvariantMonitor::Check(
-    const Combined& all) const {
+    const std::vector<std::pair<Uid, Flow>>& flows) const {
+  const auto pulled_from = pulled_from_.Sorted();
   std::vector<Violation> result = violations_;
   auto report = [&result](Violation::Kind kind, const Uid& stage,
                           std::string detail) {
@@ -318,8 +296,8 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check(
   // Wire conservation, pull side: everything a server handed out over
   // Transfer replies must have been ingested by some reader. A shortfall
   // means a reply (and the items it carried) was lost in flight.
-  for (const auto& [stage, flow] : all.flows) {
-    const uint64_t* pulled = FindSorted(all.pulled_from, stage);
+  for (const auto& [stage, flow] : flows) {
+    const uint64_t* pulled = FindSorted(pulled_from, stage);
     const uint64_t arrived = pulled != nullptr ? *pulled : 0;
     if (flow.served != arrived) {
       report(Violation::Kind::kFlowConservation, stage,
@@ -328,8 +306,8 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check(
                  " (lost on the wire)");
     }
   }
-  for (const auto& [stage, arrived] : all.pulled_from) {
-    if (FindSorted(all.flows, stage) == nullptr && arrived != 0) {
+  for (const auto& [stage, arrived] : pulled_from) {
+    if (FindSorted(flows, stage) == nullptr && arrived != 0) {
       report(Violation::Kind::kFlowConservation, stage,
              "consumers ingested " + std::to_string(arrived) + " items from " +
                  NameOf(stage) + " which served none");
@@ -338,8 +316,8 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check(
 
   // Wire conservation, push side: everything a writer transmitted must have
   // been accepted by the acceptor it names as its sink.
-  for (const auto& [sink, sent] : all.pushed_into) {
-    const Flow* flow = FindSorted(all.flows, sink);
+  for (const auto& [sink, sent] : pushed_into_.Sorted()) {
+    const Flow* flow = FindSorted(flows, sink);
     const uint64_t accepted = flow != nullptr ? flow->accepted : 0;
     if (sent != accepted) {
       report(Violation::Kind::kFlowConservation, sink,
@@ -372,13 +350,14 @@ std::string InvariantMonitor::NameOf(const Uid& uid) const {
 
 std::string InvariantMonitor::ToString() const {
   FlushViolations();
-  const Combined all = Combine();
+  const auto flow_rows = flows_.Sorted();
+  const auto band_rows = bands_.Sorted();
   std::ostringstream out;
   out << "invariant monitor: " << events_seen_ << " events, "
-      << all.flows.size() << " stages\n";
+      << flow_rows.size() << " stages\n";
   out << "  stage            in(pull+acc)  consumed  produced  out(srv+psh)"
          "  buffered\n";
-  for (const auto& [stage, flow] : all.flows) {
+  for (const auto& [stage, flow] : flow_rows) {
     int64_t in = static_cast<int64_t>(flow.pulled + flow.accepted);
     int64_t delivered = static_cast<int64_t>(flow.served + flow.pushed);
     // in - net consumed (put-backs return to the buffer) still sits in input
@@ -397,14 +376,14 @@ std::string InvariantMonitor::ToString() const {
                   static_cast<long long>(buffered));
     out << line;
   }
-  if (!all.bands.empty()) {
+  if (!band_rows.empty()) {
     out << "  bands (accepted/taken/putback):\n";
-    for (const auto& [key, bf] : all.bands) {
+    for (const auto& [key, bf] : band_rows) {
       out << "    " << NameOf(key.first) << " band " << key.second << ": "
           << bf.accepted << "/" << bf.consumed << "/" << bf.putback << "\n";
     }
   }
-  std::vector<Violation> found = Check(all);
+  std::vector<Violation> found = Check(flow_rows);
   if (found.empty()) {
     out << "  all invariants hold\n";
   } else {
@@ -431,9 +410,10 @@ void InvariantMonitor::Describe(const Violation& violation, Value& out) {
 
 Value InvariantMonitor::ToValue() const {
   FlushViolations();
-  const Combined all = Combine();
+  const auto flow_rows = flows_.Sorted();
+  const auto band_rows = bands_.Sorted();
   Value flows;
-  for (const auto& [stage, flow] : all.flows) {
+  for (const auto& [stage, flow] : flow_rows) {
     Value entry;
     entry.Set("produced", Value(static_cast<int64_t>(flow.produced)));
     entry.Set("served", Value(static_cast<int64_t>(flow.served)));
@@ -445,7 +425,7 @@ Value InvariantMonitor::ToValue() const {
     flows.Set(NameOf(stage), std::move(entry));
   }
   Value bands;
-  for (const auto& [key, bf] : all.bands) {
+  for (const auto& [key, bf] : band_rows) {
     Value entry;
     entry.Set("accepted", Value(static_cast<int64_t>(bf.accepted)));
     entry.Set("taken", Value(static_cast<int64_t>(bf.consumed)));
@@ -457,7 +437,7 @@ Value InvariantMonitor::ToValue() const {
   for (const auto& [op, count] : invocations_by_op_) {
     invocations.Set(op, Value(static_cast<int64_t>(count)));
   }
-  std::vector<Violation> found = Check(all);
+  std::vector<Violation> found = Check(flow_rows);
   ValueList violations;
   for (const Violation& violation : found) {
     Value entry;
@@ -467,7 +447,7 @@ Value InvariantMonitor::ToValue() const {
   Value report;
   report.Set("events", Value(static_cast<int64_t>(events_seen_)));
   report.Set("flows", std::move(flows));
-  if (!all.bands.empty()) {
+  if (!band_rows.empty()) {
     report.Set("bands", std::move(bands));
   }
   report.Set("invocations", std::move(invocations));
@@ -477,10 +457,12 @@ Value InvariantMonitor::ToValue() const {
 }
 
 void InvariantMonitor::Clear() {
-  for (Tables& tables : tables_) {
-    tables = Tables{};
-  }
-  base_ = Tables{};
+  flows_.Clear();
+  bands_.Clear();
+  pulled_from_.Clear();
+  pushed_into_.Clear();
+  sequences_.Clear();
+  found_ = std::vector<Found>(found_.size());
   violations_.clear();
   invocations_by_op_.clear();
   expected_invocations_.clear();

@@ -38,10 +38,11 @@
 //
 // Threading. The stream-primitive hooks write only the tables of the
 // record's home shard (Kernel::HomeShard: the executing shard inside a
-// parallel phase, otherwise the stage's node's shard), with no lock. Those
-// tables keep what the shard recorded for good; no run folds them. An
-// inline check reads its own shard's table plus a read-only base, which
-// holds what was recorded before the last re-partition: every record about
+// parallel phase, otherwise the stage's node's shard), with no lock; each
+// table is one ShardedTable (shard_tables.h). Those tables keep what the
+// shard recorded for good; no run folds them. An inline check reads its own
+// shard's table plus a read-only base (ShardedTable::Base), which holds
+// what was recorded before the last re-partition: every record about
 // a stage since then landed in its home shard, so that sum is the stage's
 // whole history, across runs and re-partitions. Fold is the only fold: the
 // kernel calls it from set_shards, which changes every stage's home shard,
@@ -54,7 +55,7 @@
 //
 // Violation order. Violations from the trace, static, SLO and audit feeds
 // join violations() when reported. Those the stream-primitive hooks find
-// wait in their shard's table until FlushViolations, which the kernel calls
+// wait in their shard's list until FlushViolations, which the kernel calls
 // at both ends of every run, so they surface when the run that found them
 // ends, even in a sequential run; a read or a Fold flushes too. Each flush
 // appends them sorted by (tick, stage UID), in detection order among equal
@@ -70,7 +71,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -81,6 +81,15 @@
 #include "src/eden/value.h"
 
 namespace eden {
+
+// The per-stage sequence counters OnSequence checks, interned. The ids
+// ascend in name order, as QueueComponent's do.
+enum class SeqCounter : uint8_t { kAcceptorNext, kServerAck, kServerNext, kWriterAck };
+inline constexpr std::string_view kSeqCounterNames[] = {"acceptor.next", "server.ack",
+                                                        "server.next", "writer.ack"};
+inline std::string_view SeqCounterName(SeqCounter counter) {
+  return kSeqCounterNames[static_cast<size_t>(counter)];
+}
 
 class InvariantMonitor {
  public:
@@ -152,10 +161,10 @@ class InvariantMonitor {
   // out of the conservation checks instead of counting twice.
   void OnPutBack(int shard, const Uid& stage, Tick at, uint64_t items,
                  int band = -1);
-  // Monotonicity check for a named per-stage counter (server next/ack,
-  // acceptor next, writer ack). Violation if `value` regresses.
-  void OnSequence(int shard, const Uid& stage, Tick at,
-                  std::string_view counter, uint64_t value);
+  // Monotonicity check for a per-stage counter (server next/ack, acceptor
+  // next, writer ack). Violation if `value` regresses.
+  void OnSequence(int shard, const Uid& stage, Tick at, SeqCounter counter,
+                  uint64_t value);
   // Folds every shard's tables into the base, flushes, and keeps at least
   // `shards` table slots, so the hooks of a run on that many workers never
   // grow the slot vector (see the file comment).
@@ -215,48 +224,10 @@ class InvariantMonitor {
   void Clear();
 
  private:
-  // The stream-primitive reports of one shard (or, in the base, those
-  // recorded before the last fold). Keyed by stage, tens of thousands of
-  // keys on a wide topology, so they hash, and the reads sort.
-  struct alignas(64) Tables {
-    std::unordered_map<Uid, Flow, Uid::Hash> flows;
-    // Banded (acceptor-side) queues also charge every arrival, take and
-    // put-back to its band (as accepted, consumed, putback), so the bands
-    // provably drop nothing — a band that hands out more than arrived (net
-    // of put-backs) is caught inline.
-    std::unordered_map<std::pair<Uid, int>, Flow, PairHash> bands;
-    // Wire accounting, recorded by the active end (which knows both
-    // parties): items readers ingested per server, and writers pushed per
-    // acceptor.
-    std::unordered_map<Uid, uint64_t, Uid::Hash> pulled_from;
-    std::unordered_map<Uid, uint64_t, Uid::Hash> pushed_into;
-    std::unordered_map<std::pair<Uid, std::string>, uint64_t, PairHash>
-        sequences;  // last value
-    // Violations the hooks found, in detection order, until the next flush
-    // (which a const read may do).
-    mutable std::vector<Violation> found;
-  };
-  // The base and the shard tables combined, each sorted by key.
-  struct Combined {
-    std::vector<std::pair<Uid, Flow>> flows;
-    std::vector<std::pair<std::pair<Uid, int>, Flow>> bands;
-    std::vector<std::pair<Uid, uint64_t>> pulled_from;
-    std::vector<std::pair<Uid, uint64_t>> pushed_into;
-  };
-
-  // Grows the slot vector only outside a parallel run (a hook called
-  // directly may name any shard): Fold sized it for a parallel run's workers
-  // when the kernel installed the monitor or re-partitioned.
-  Tables& TablesFor(int shard) {
-    if (static_cast<size_t>(shard) >= tables_.size()) {
-      tables_.resize(static_cast<size_t>(shard) + 1);
-    }
-    return tables_[static_cast<size_t>(shard)];
-  }
-  // Adds `items` to `field` of `key`'s entry in the shard's `table`;
-  // returns the key's whole history (that entry plus the base's).
-  template <typename Map>
-  static Flow Add(Map& table, const Map& base, const typename Map::key_type& key,
+  // Adds `items` to `field` of `key`'s record in the shard's map of
+  // `table`; returns the key's whole history (that record plus the base's).
+  template <typename Table>
+  static Flow Record(Table& table, int shard, const typename Table::Key& key,
                   uint64_t Flow::*field, uint64_t items);
   void CheckDelivered(int shard, const Uid& stage, Tick at, const Flow& flow);
   // After a take (or, with `put_back`, a put-back) from the stage's buffers
@@ -270,12 +241,29 @@ class InvariantMonitor {
   // Appends to violations() and emits into the trace sink.
   void Emit(Violation violation) const;
   static void Describe(const Violation& violation, Value& out);
-  Combined Combine() const;
-  // Check() over tables already combined.
-  std::vector<Violation> Check(const Combined& all) const;
+  // Check() over the flows and wire tables, sorted.
+  std::vector<Violation> Check(const std::vector<std::pair<Uid, Flow>>& flows) const;
 
-  std::vector<Tables> tables_ = std::vector<Tables>(1);  // one per shard
-  Tables base_;
+  // The stream-primitive reports, keyed by stage (tens of thousands of keys
+  // on a wide topology, so they hash, and the reads sort).
+  ShardedTable<HashMap<Uid, Flow>, &Add<Flow>> flows_;
+  // Banded (acceptor-side) queues also charge every arrival, take and
+  // put-back to its band (as accepted, consumed, putback), so the bands
+  // provably drop nothing: a band that hands out more than arrived (net of
+  // put-backs) is caught inline.
+  ShardedTable<HashMap<std::pair<Uid, int>, Flow>, &Add<Flow>> bands_;
+  // Wire accounting, recorded by the active end (which knows both parties):
+  // items readers ingested per server, and writers pushed per acceptor.
+  ShardedTable<HashMap<Uid, uint64_t>, &Add<uint64_t>> pulled_from_;
+  ShardedTable<HashMap<Uid, uint64_t>, &Add<uint64_t>> pushed_into_;
+  ShardedTable<HashMap<std::pair<Uid, SeqCounter>, uint64_t>, &Last<uint64_t>>
+      sequences_;  // last value
+  // The violations each shard's hooks found, in detection order, until the
+  // next flush (which a const read may do). Sized with the tables.
+  struct alignas(64) Found {
+    std::vector<Violation> list;
+  };
+  mutable std::vector<Found> found_ = std::vector<Found>(1);
   // Flushing appends here, so the const reads may do it.
   mutable std::vector<Violation> violations_;
   std::map<std::string, uint64_t, std::less<>> invocations_by_op_;

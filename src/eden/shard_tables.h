@@ -1,8 +1,10 @@
-// Per-shard recording tables, shared by the metrics registry and the
-// invariant monitor. Each kernel shard records into its own hash tables,
-// which keep what it recorded for good; a base holds what was recorded
-// before the last re-partition. A re-partition folds every shard's tables
-// into the base; a read combines the base and the shard tables, sorted.
+// ShardedTable: the per-shard recording tables of the metrics registry and
+// the invariant monitor. Each kernel shard records into its own map, which
+// keeps what it recorded for good; a base holds what was recorded before
+// the last re-partition. A re-partition folds every shard's map into the
+// base; a read combines the base and the shard maps, sorted, without moving
+// anything. A key's records combine oldest first, the base's and then the
+// shards' in index order, through the table's combine rule.
 #ifndef SRC_EDEN_SHARD_TABLES_H_
 #define SRC_EDEN_SHARD_TABLES_H_
 
@@ -10,6 +12,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,9 +20,10 @@
 
 namespace eden {
 
-// Hashes the pair keys of the tables: (Uid, band), (Uid, counter name),
+// Hashes the keys of the tables: a Uid, or a pair such as (Uid, band) or
 // (queue component, Uid).
 struct PairHash {
+  size_t operator()(const Uid& uid) const { return Of(uid); }
   template <typename A, typename B>
   size_t operator()(const std::pair<A, B>& key) const {
     return Of(key.first) * 0x9e3779b97f4a7c15ULL ^ Of(key.second);
@@ -33,84 +37,139 @@ struct PairHash {
   }
 };
 
-// Moves `from`'s entries into `into` and empties `from`: keys `into` lacks
-// move over as nodes (the whole table when `into` is empty); the rest
-// combine through `add(into_value, from_value)`.
-template <typename Map, typename Add>
-void FoldInto(Map& into, Map& from, Add add) {
-  if (into.empty()) {
-    into.swap(from);
-    return;
-  }
-  into.merge(from);
-  for (auto& [key, value] : from) {
-    add(into.find(key)->second, value);
-  }
-  from.clear();
+template <typename Key, typename Value>
+using HashMap = std::unordered_map<Key, Value, PairHash>;
+
+// Combine rules for values that add, and for last values.
+template <typename T>
+void Add(T& into, const T& from) {
+  into += from;
+}
+template <typename T>
+void Last(T& into, const T& from) {
+  into = from;
 }
 
-// The entries of one table (`tables.*table`) of the base and of every
-// shard, as one list sorted by key. A key's entries combine oldest first,
-// the base's and then the shards' in index order, through
-// `add(into_value, from_value)`.
-template <typename Tables, typename Map, typename Add>
-auto SortedUnion(const Tables& base, const std::vector<Tables>& shards,
-                 Map Tables::*table, Add add) {
-  std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>> out;
-  size_t total = (base.*table).size();
-  for (const Tables& shard : shards) {
-    total += (shard.*table).size();
+// `Combine(into_value, from_value)` (a function or member function pointer)
+// folds a later record of a key into an earlier one.
+template <typename Map, auto Combine>
+class ShardedTable {
+ public:
+  using Key = typename Map::key_type;
+  using Value = typename Map::mapped_type;
+
+  // The map of `shard`. Grows the slot vector only outside a parallel run (a
+  // hook called directly may name any shard): Fold sized it for a parallel
+  // run's workers.
+  Map& Shard(int shard) {
+    if (static_cast<size_t>(shard) >= shards_.size()) {
+      shards_.resize(static_cast<size_t>(shard) + 1);
+    }
+    return shards_[static_cast<size_t>(shard)].map;
   }
-  out.reserve(total);
-  out.insert(out.end(), (base.*table).begin(), (base.*table).end());
-  for (const Tables& shard : shards) {
-    out.insert(out.end(), (shard.*table).begin(), (shard.*table).end());
+
+  // The base's record of `key`, or null: with the key's record in its home
+  // shard, the key's whole history. Reads only the base, so a shard worker
+  // may call it during a run.
+  const Value* Base(const Key& key) const {
+    if (base_.empty()) {
+      return nullptr;
+    }
+    auto it = base_.find(key);
+    return it != base_.end() ? &it->second : nullptr;
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  size_t kept = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (kept > 0 && !(out[kept - 1].first < out[i].first)) {
-      add(out[kept - 1].second, out[i].second);
-    } else {
-      if (kept != i) {
-        out[kept] = std::move(out[i]);
+
+  // Moves every shard's records into the base and keeps at least `shards`
+  // slots, so the hooks of a run on that many workers never grow them.
+  void Fold(int shards) {
+    for (Slot& slot : shards_) {
+      if (base_.empty()) {
+        base_.swap(slot.map);
+        continue;
       }
-      kept++;
+      base_.merge(slot.map);  // keys the base lacks move over as nodes
+      for (auto& [key, value] : slot.map) {
+        std::invoke(Combine, base_.find(key)->second, value);
+      }
+      slot.map.clear();
+    }
+    if (shards_.size() < static_cast<size_t>(shards)) {
+      shards_.resize(static_cast<size_t>(shards));
     }
   }
-  out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
-  return out;
-}
 
-// One key's entries across the base and the shards, combined as in
-// SortedUnion; nullopt when no table holds the key.
-template <typename Tables, typename Map, typename Add>
-std::optional<typename Map::mapped_type> CombinedAt(const Tables& base,
-                                                    const std::vector<Tables>& shards,
-                                                    Map Tables::*table,
-                                                    const typename Map::key_type& key,
-                                                    Add add) {
-  std::optional<typename Map::mapped_type> out;
-  auto take = [&](const Tables& tables) {
-    auto it = (tables.*table).find(key);
-    if (it == (tables.*table).end()) {
-      return;
+  // Every key's combined record, sorted by key.
+  std::vector<std::pair<Key, Value>> Sorted() const {
+    std::vector<std::pair<Key, Value>> out;
+    size_t total = base_.size();
+    for (const Slot& slot : shards_) {
+      total += slot.map.size();
     }
-    if (out) {
-      add(*out, it->second);
-    } else {
-      out = it->second;
+    out.reserve(total);
+    out.insert(out.end(), base_.begin(), base_.end());
+    for (const Slot& slot : shards_) {
+      out.insert(out.end(), slot.map.begin(), slot.map.end());
     }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    size_t kept = 0;
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (kept > 0 && !(out[kept - 1].first < out[i].first)) {
+        std::invoke(Combine, out[kept - 1].second, out[i].second);
+      } else {
+        if (kept != i) {
+          out[kept] = std::move(out[i]);
+        }
+        kept++;
+      }
+    }
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(kept), out.end());
+    return out;
+  }
+
+  // `key`'s combined record as of this call, or null when no map holds the
+  // key. The pointer stays valid until Clear.
+  const Value* Find(const Key& key) const {
+    std::optional<Value> out;
+    auto take = [&](const Map& map) {
+      auto it = map.find(key);
+      if (it == map.end()) {
+        return;
+      }
+      if (out) {
+        std::invoke(Combine, *out, it->second);
+      } else {
+        out = it->second;
+      }
+    };
+    take(base_);
+    for (const Slot& slot : shards_) {
+      take(slot.map);
+    }
+    return out ? &(lookups_[key] = std::move(*out)) : nullptr;
+  }
+
+  void Clear() {
+    for (Slot& slot : shards_) {
+      slot.map = Map{};
+    }
+    base_ = Map{};
+    lookups_ = Map{};
+  }
+
+ private:
+  // One cache line or more per shard, so workers never share one.
+  struct alignas(64) Slot {
+    Map map;
   };
-  take(base);
-  for (const Tables& shard : shards) {
-    take(shard);
-  }
-  return out;
-}
 
-// The value at `key` in a list SortedUnion built, or null.
+  std::vector<Slot> shards_ = std::vector<Slot>(1);
+  Map base_;
+  // Find's combined records.
+  mutable Map lookups_;
+};
+
+// The value at `key` in a list Sorted built, or null.
 template <typename Key, typename Value>
 const Value* FindSorted(const std::vector<std::pair<Key, Value>>& sorted,
                         const Key& key) {

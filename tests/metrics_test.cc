@@ -481,6 +481,33 @@ TEST(MetricsShardTest, ShardCountersSumToKernelTotals) {
   }
 }
 
+// Each run's publish replaces every shard row: after a 4-shard run and a
+// re-partition to 2 shards, a second run leaves exactly 2 rows in the
+// snapshot, the "shards" section and the text report.
+TEST(MetricsShardTest, RepartitionReplacesEveryShardRow) {
+  KernelOptions kernel_options;
+  kernel_options.shards = 4;
+  Kernel kernel(kernel_options);
+  MetricsRegistry metrics;
+  kernel.set_metrics(&metrics);
+  PipelineOptions options;
+  options.discipline = Discipline::kReadOnly;
+  options.distinct_nodes = true;
+  for (int shards : {4, 2}) {
+    ASSERT_TRUE(kernel.set_shards(shards));
+    PipelineHandle handle =
+        BuildPipeline(kernel, ValueList{Value(int64_t{1}), Value(int64_t{2})}, Copies(3),
+                      options);
+    kernel.RunUntil([&handle] { return handle.done(); });
+    ASSERT_EQ(handle.output().size(), 2u) << "shards=" << shards;
+    EXPECT_EQ(metrics.ShardSnapshot().size(), static_cast<size_t>(shards));
+    EXPECT_EQ(metrics.Snapshot().Field("shards").Size(), static_cast<size_t>(shards));
+    EXPECT_EQ(metrics.ToString().find("shard   " + std::to_string(shards)),
+              std::string::npos)
+        << metrics.ToString();
+  }
+}
+
 // Kernel::Step runs each event with its own shard's index, outside any
 // run bracket, so the recording hooks see every shard index before any fold
 // has sized the registry's and the monitor's per-shard slots. Stepping a

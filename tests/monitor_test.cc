@@ -151,14 +151,30 @@ TEST(MonitorTest, SpanTreeViolationsAreCaughtInline) {
 TEST(MonitorTest, SequenceRegressionIsCaughtInline) {
   InvariantMonitor monitor;
   const Uid stage(4, 4);
-  monitor.OnSequence(0, stage, 10, "server.next", 5);
-  monitor.OnSequence(0, stage, 20, "server.next", 7);
+  monitor.OnSequence(0, stage, 10, SeqCounter::kServerNext, 5);
+  monitor.OnSequence(0, stage, 20, SeqCounter::kServerNext, 7);
   EXPECT_TRUE(monitor.violations().empty());
-  monitor.OnSequence(0, stage, 30, "server.next", 3);
+  monitor.OnSequence(0, stage, 30, SeqCounter::kServerNext, 3);
   ASSERT_EQ(monitor.violations().size(), 1u);
   EXPECT_EQ(monitor.violations()[0].kind,
             InvariantMonitor::Violation::Kind::kSequence);
   EXPECT_EQ(monitor.violations()[0].at, 30);
+}
+
+// A counter's first record on a shard continues the history the last
+// re-partition folded into the base, so a regression across a Fold is caught.
+TEST(MonitorTest, SequenceRegressionIsCaughtAcrossAFold) {
+  InvariantMonitor monitor;
+  const Uid stage(4, 4);
+  monitor.Label(stage, "server");
+  monitor.OnSequence(0, stage, 10, SeqCounter::kServerNext, 5);
+  monitor.Fold(2);
+  monitor.OnSequence(1, stage, 20, SeqCounter::kServerNext, 3);
+  ASSERT_EQ(monitor.violations().size(), 1u);
+  EXPECT_EQ(monitor.violations()[0].kind, InvariantMonitor::Violation::Kind::kSequence);
+  EXPECT_EQ(monitor.violations()[0].detail, "server server.next regressed 5 -> 3");
+  monitor.OnSequence(1, stage, 30, SeqCounter::kServerNext, 6);
+  EXPECT_EQ(monitor.violations().size(), 1u);
 }
 
 TEST(MonitorTest, ViolationsFlowIntoTheTraceAsEvents) {
@@ -166,8 +182,8 @@ TEST(MonitorTest, ViolationsFlowIntoTheTraceAsEvents) {
   InvariantMonitor monitor;
   monitor.set_trace_sink(recorder.Hook());
   const Uid stage(4, 4);
-  monitor.OnSequence(0, stage, 10, "acceptor.next", 5);
-  monitor.OnSequence(0, stage, 20, "acceptor.next", 2);
+  monitor.OnSequence(0, stage, 10, SeqCounter::kAcceptorNext, 5);
+  monitor.OnSequence(0, stage, 20, SeqCounter::kAcceptorNext, 2);
   monitor.Fold();  // a hook's violation reaches the sink at the next fold
 
   ASSERT_EQ(recorder.size(), 1u);
