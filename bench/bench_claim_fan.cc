@@ -59,8 +59,8 @@ class WriteOnlyCmp : public Eject {
         acceptor_(*this),
         secondary_(*this, secondary_source, Value(std::string(kChanOut))),
         out_(*this, sink, Value(std::string(kChanIn))) {
-    StreamAcceptor::ChannelOptions in;
-    in.capacity = 8;
+    ChannelOptions in;
+    in.hiwat = 8;
     acceptor_.DeclareChannel(std::string(kChanIn), in);
     acceptor_.InstallOps();
   }

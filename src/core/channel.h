@@ -17,6 +17,7 @@
 #ifndef SRC_CORE_CHANNEL_H_
 #define SRC_CORE_CHANNEL_H_
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -79,6 +80,27 @@ class ChannelTable {
   std::map<Uid, std::string> capabilities_;   // minted UID -> name
 };
 
+// The options of one channel on either passive end.
+struct ChannelOptions {
+  // Watermarks. A producer that brings the queue to `hiwat` is held back (a
+  // server's Write blocks, an acceptor withholds the Push reply) until the
+  // owner drains it below `lowat`; 0 derives lowat as hiwat/2, at least 1.
+  // hiwat 0 on a server channel is pure §4 laziness: the producer writes
+  // only into a parked Transfer.
+  size_t hiwat = 4;
+  size_t lowat = 0;
+  // If set, the channel can be addressed only via capabilities minted by
+  // OpenChannel; integer/name identifiers act as if the channel does not
+  // exist (paper §5).
+  bool capability_only = false;
+  // Fault tolerance: every item has a position. A server keeps served
+  // items in a replay window until the consumer acknowledges them, so a
+  // consumer that lost a reply (or its own state) can re-request them. An
+  // acceptor drops a duplicate prefix from a retrying sender, and refuses a
+  // gap (a Push it never saw) with a reply naming the position it expects.
+  bool sequenced = false;
+};
+
 // The two-band queue behind one channel of either passive end: a
 // StreamServer output channel (the producer appends, Transfers take) or a
 // StreamAcceptor input channel (Pushes append, the owner takes). Paper §5
@@ -91,14 +113,10 @@ class ChannelTable {
 class BandedChannel {
  public:
   // `component` names the queue in depth and flow reports (kServer,
-  // kAcceptor). `Options` is either end's channel options: the queue reads
-  // capacity, hiwat, lowat and sequenced.
-  template <typename Options>
+  // kAcceptor).
   BandedChannel(Eject& owner, QueueComponent component,
-                const Options& options)
-      : limits(FlowLimits::Resolve(
-            options.hiwat != 0 ? options.hiwat : options.capacity,
-            options.lowat)),
+                const ChannelOptions& options)
+      : limits(FlowLimits::Resolve(options.hiwat, options.lowat)),
         sequenced(options.sequenced),
         ready(owner),
         // Deferred service (STREAMS srv): wakes the waiting processes once
@@ -153,7 +171,7 @@ class BandedChannel {
   void Save(Value& state) const;
   void Restore(const Value& state);
 
-  const FlowLimits limits;  // hiwat 0 = pure laziness (server only)
+  const FlowLimits limits;
   const bool sequenced;
   // The owner's processes wait here: a producer for space on a server
   // channel, a consumer for items on an acceptor channel.
@@ -172,6 +190,81 @@ class BandedChannel {
   QueueComponent component_;
   Ring<Value> data_;     // band 0
   Ring<Value> control_;  // band 1: served first
+};
+
+// The channel map of either passive end. Paper §5 makes passive output and
+// passive input duals, so StreamServer and StreamAcceptor keep the same map:
+// the owner, the wire-identifier table and one `Channel` per declared name.
+// `Channel` is a BandedChannel plus the end's own fields, and supplies
+//   static constexpr ChannelOptions kDefaults;  // DeclareChannel's default
+//   void Save(Value&) const;                    // its share of a checkpoint,
+//   void Restore(const Value&);                 // queue contents included
+template <typename Channel>
+class PassiveEnd {
+ public:
+  explicit PassiveEnd(Eject& owner) : owner_(owner) {}
+  PassiveEnd(const PassiveEnd&) = delete;
+  PassiveEnd& operator=(const PassiveEnd&) = delete;
+
+  void DeclareChannel(std::string name,
+                      const ChannelOptions& options = Channel::kDefaults) {
+    bool fresh = table_.Declare(name, options.capability_only);
+    assert(fresh && "channel declared twice");
+    (void)fresh;
+    channels_.try_emplace(std::move(name), owner_, options);
+  }
+
+  bool HasChannel(std::string_view name) const { return Find(name) != nullptr; }
+  // Items queued on `channel`, both bands (0 if undeclared).
+  size_t buffered(std::string_view channel) const {
+    const Channel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->Depth();
+  }
+  FlowLimits limits(std::string_view channel) const {
+    const Channel* ch = Find(channel);
+    return ch == nullptr ? FlowLimits{} : ch->limits;
+  }
+  ChannelTable& table() { return table_; }
+
+  // ---- Recovery support: the dynamic state of every channel (positions,
+  // queue contents) as a checkpointable Value, and its inverse. Replies the
+  // end holds back are excluded: their handles die with a crashed instance
+  // and the callers retry.
+  Value SaveChannels() const {
+    ValueMap state;
+    for (const auto& [name, ch] : channels_) {
+      Value v;
+      ch.Save(v);
+      state.emplace(name, std::move(v));
+    }
+    return Value(std::move(state));
+  }
+  void RestoreChannels(const Value& state) {
+    const ValueMap* map = state.AsMap();
+    if (map == nullptr) {
+      return;
+    }
+    for (const auto& [name, v] : *map) {
+      // The channel set is part of the type, not the checkpoint.
+      if (Channel* ch = Find(name)) {
+        ch->Restore(v);
+      }
+    }
+  }
+
+ protected:
+  Channel* Find(std::string_view name) {
+    auto it = channels_.find(name);
+    return it == channels_.end() ? nullptr : &it->second;
+  }
+  const Channel* Find(std::string_view name) const {
+    auto it = channels_.find(name);
+    return it == channels_.end() ? nullptr : &it->second;
+  }
+
+  Eject& owner_;
+  ChannelTable table_;
+  std::map<std::string, Channel, std::less<>> channels_;
 };
 
 }  // namespace eden

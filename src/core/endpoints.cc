@@ -12,19 +12,13 @@ VectorSource::VectorSource(Kernel& kernel, ValueList items, Options options)
       options_(options),
       server_(*this),
       demand_(*this) {
-  StreamServer::ChannelOptions out;
-  out.capacity = options_.work_ahead;
-  out.lowat = options_.work_ahead_lowat;
-  out.capability_only = options_.capability_only_channels;
-  out.sequenced = options_.sequenced;
+  ChannelOptions out{.hiwat = options_.work_ahead,
+                     .lowat = options_.work_ahead_lowat,
+                     .capability_only = options_.capability_only_channels,
+                     .sequenced = options_.sequenced};
   server_.DeclareChannel(std::string(kChanOut), out);
   if (options_.report_every > 0) {
-    StreamServer::ChannelOptions report;
-    report.capacity = options_.work_ahead;
-    report.lowat = options_.work_ahead_lowat;
-    report.capability_only = options_.capability_only_channels;
-    report.sequenced = options_.sequenced;
-    server_.DeclareChannel(std::string(kChanReport), report);
+    server_.DeclareChannel(std::string(kChanReport), out);
   }
   server_.InstallOps();
   if (options_.start_on_demand) {
@@ -57,18 +51,16 @@ PushSource::PushSource(Kernel& kernel, ValueList items, Options options)
     : Eject(kernel, kType), items_(std::move(items)), options_(options), bound_(*this) {}
 
 void PushSource::BindOutput(Uid sink, Value sink_channel) {
-  StreamWriter::Options writer{options_.batch, options_.deadline,
-                               options_.retry_attempts, options_.retry_backoff,
-                               options_.sequenced};
-  out_ = std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);
+  out_ = std::make_unique<StreamWriter>(
+      *this, sink, std::move(sink_channel),
+      StreamWriter::Options{options_.batch, options_.retry, options_.sequenced});
   bound_.Open();
 }
 
 void PushSource::BindReport(Uid sink, Value sink_channel) {
-  StreamWriter::Options writer{options_.batch, options_.deadline,
-                               options_.retry_attempts, options_.retry_backoff,
-                               options_.sequenced};
-  report_ = std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);
+  report_ = std::make_unique<StreamWriter>(
+      *this, sink, std::move(sink_channel),
+      StreamWriter::Options{options_.batch, options_.retry, options_.sequenced});
 }
 
 void PushSource::OnStart() { Spawn(Produce()); }
@@ -98,8 +90,7 @@ PullSink::PullSink(Kernel& kernel, Uid source, Value channel, Options options)
       options_(options),
       reader_(*this, source, std::move(channel),
               StreamReader::Options{options.batch, options.lookahead,
-                                    options.deadline, options.retry_attempts,
-                                    options.retry_backoff, options.sequenced}) {}
+                                    options.retry, options.sequenced}) {}
 
 void PullSink::OnStart() { Spawn(Pump()); }
 
@@ -127,12 +118,10 @@ Task<void> PullSink::Pump() {
 
 PushSink::PushSink(Kernel& kernel, Options options)
     : Eject(kernel, kType), options_(options), acceptor_(*this) {
-  StreamAcceptor::ChannelOptions in;
-  in.capacity = options_.capacity;
-  in.hiwat = options_.hiwat;
-  in.lowat = options_.lowat;
-  in.sequenced = options_.sequenced;
-  acceptor_.DeclareChannel(std::string(kChanIn), in);
+  acceptor_.DeclareChannel(
+      std::string(kChanIn),
+      ChannelOptions{.hiwat = options_.hiwat, .lowat = options_.lowat,
+                     .sequenced = options_.sequenced});
   acceptor_.InstallOps();
 }
 

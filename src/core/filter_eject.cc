@@ -37,9 +37,7 @@ ReadOnlyFilter::ReadOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transf
       options_(std::move(options)),
       reader_(*this, options_.source, options_.source_channel,
               StreamReader::Options{options_.batch, options_.lookahead,
-                                    options_.recovery.effective_deadline(),
-                                    options_.recovery.effective_retry_attempts(),
-                                    options_.recovery.effective_retry_backoff(),
+                                    options_.recovery.effective_retry(),
                                     options_.recovery.enabled}),
       server_(*this),
       demand_(*this) {
@@ -48,12 +46,11 @@ ReadOnlyFilter::ReadOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transf
   assert(!channels.empty());
   primary_channel_ = channels.front();
   for (const std::string& name : channels) {
-    StreamServer::ChannelOptions channel_options;
-    channel_options.capacity = options_.work_ahead;
-    channel_options.lowat = options_.work_ahead_lowat;
-    channel_options.capability_only = options_.capability_only_channels;
-    channel_options.sequenced = options_.recovery.enabled;
-    server_.DeclareChannel(name, channel_options);
+    server_.DeclareChannel(
+        name, ChannelOptions{.hiwat = options_.work_ahead,
+                             .lowat = options_.work_ahead_lowat,
+                             .capability_only = options_.capability_only_channels,
+                             .sequenced = options_.recovery.enabled});
   }
   server_.InstallOps();
   if (options_.recovery.enabled) {
@@ -154,12 +151,11 @@ WriteOnlyFilter::WriteOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> tran
       options_(std::move(options)),
       acceptor_(*this) {
   assert(transform_ != nullptr);
-  StreamAcceptor::ChannelOptions in;
-  in.capacity = options_.input_capacity;
-  in.hiwat = options_.input_hiwat;
-  in.lowat = options_.input_lowat;
-  in.sequenced = options_.recovery.enabled;
-  acceptor_.DeclareChannel(std::string(kChanIn), in);
+  acceptor_.DeclareChannel(
+      std::string(kChanIn),
+      ChannelOptions{.hiwat = options_.input_hiwat,
+                     .lowat = options_.input_lowat,
+                     .sequenced = options_.recovery.enabled});
   acceptor_.InstallOps();
   if (options_.recovery.enabled) {
     // Until the first checkpoint, advertise nothing as durable: the sender
@@ -172,9 +168,7 @@ WriteOnlyFilter::WriteOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> tran
 void WriteOnlyFilter::BindOutput(const std::string& channel, Uid sink,
                                  Value sink_channel) {
   StreamWriter::Options writer{options_.batch,
-                               options_.recovery.effective_deadline(),
-                               options_.recovery.effective_retry_attempts(),
-                               options_.recovery.effective_retry_backoff(),
+                               options_.recovery.effective_retry(),
                                options_.recovery.enabled};
   writers_[channel] =
       std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);
@@ -267,9 +261,7 @@ ConventionalFilter::ConventionalFilter(Kernel& kernel,
       options_(std::move(options)),
       reader_(*this, options_.source, options_.source_channel,
               StreamReader::Options{options_.batch, options_.lookahead,
-                                    options_.recovery.effective_deadline(),
-                                    options_.recovery.effective_retry_attempts(),
-                                    options_.recovery.effective_retry_backoff(),
+                                    options_.recovery.effective_retry(),
                                     options_.recovery.enabled}) {
   assert(transform_ != nullptr);
   if (options_.recovery.enabled) {
@@ -281,9 +273,7 @@ ConventionalFilter::ConventionalFilter(Kernel& kernel,
 void ConventionalFilter::BindOutput(const std::string& channel, Uid sink,
                                     Value sink_channel) {
   StreamWriter::Options writer{options_.batch,
-                               options_.recovery.effective_deadline(),
-                               options_.recovery.effective_retry_attempts(),
-                               options_.recovery.effective_retry_backoff(),
+                               options_.recovery.effective_retry(),
                                options_.recovery.enabled};
   writers_[channel] =
       std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);

@@ -8,23 +8,11 @@ namespace eden {
 
 PassiveBuffer::PassiveBuffer(Kernel& kernel, Options options)
     : Eject(kernel, kType), options_(options), acceptor_(*this), server_(*this) {
-  StreamAcceptor::ChannelOptions in;
-  in.capacity = options_.capacity;
-  in.hiwat = options_.hiwat;
-  in.lowat = options_.lowat;
-  in.sequenced = options_.sequenced;
-  acceptor_.DeclareChannel(std::string(kChanIn), in);
+  ChannelOptions face{.hiwat = options_.hiwat, .lowat = options_.lowat,
+                      .sequenced = options_.sequenced};
+  acceptor_.DeclareChannel(std::string(kChanIn), face);
   acceptor_.InstallOps();
-
-  StreamServer::ChannelOptions out;
-  // The pipe's store is split across its input and output buffers; giving
-  // the output side the full capacity lets batched Transfers drain whole
-  // batches, as a Unix read(2) on a pipe would.
-  out.capacity = options_.capacity;
-  out.hiwat = options_.hiwat;
-  out.lowat = options_.lowat;
-  out.sequenced = options_.sequenced;
-  server_.DeclareChannel(std::string(kChanOut), out);
+  server_.DeclareChannel(std::string(kChanOut), face);
   server_.InstallOps();
 }
 

@@ -4,7 +4,7 @@
 //  transput, I will refer to them as passive buffers."          (paper §3)
 //
 // It performs passive input (accepts Push) and passive output (answers
-// Transfer), with a bounded capacity providing pipe-style flow control.
+// Transfer), with watermarked faces providing pipe-style flow control.
 // The conventional-discipline pipelines interpose one of these between
 // every pair of active Ejects — which is exactly the structural overhead
 // the read-only discipline eliminates.
@@ -20,11 +20,11 @@
 namespace eden {
 
 struct PassiveBufferOptions {
-  size_t capacity = 16;
-  // Watermarks for both faces (0 = derive: hiwat from capacity, lowat as
-  // hiwat/2). Producers pushing at the input face block at hiwat and are
-  // released once the face drains below lowat.
-  size_t hiwat = 0;
+  // Watermarks for both faces (lowat 0 = derive as hiwat/2). Producers
+  // pushing at the input face block at hiwat and are released once the face
+  // drains below lowat. The output face gets the same bound, so batched
+  // Transfers drain whole batches, as a Unix read(2) on a pipe would.
+  size_t hiwat = 16;
   size_t lowat = 0;
   // Fault tolerance: sequence both faces of the pipe, so a restarted
   // neighbour can resend (input face deduplicates) or re-request (output

@@ -91,16 +91,6 @@ std::string UniqueTypeName(Kernel& kernel, const std::string& base) {
 // Points a stage's push output at its downstream stage and channel.
 using BindOutputFn = std::function<void(const Uid& to, const Value& channel)>;
 
-// The deadline/retry knobs of an active stream end (EffectiveRecovery: zero
-// unless recovery is enabled).
-template <typename EndOptions>
-void SetRecovery(EndOptions& end, const verify::RecoveryKnobs& knobs) {
-  end.deadline = knobs.deadline;
-  end.retry_attempts = knobs.retry_attempts;
-  end.retry_backoff = knobs.retry_backoff;
-  end.sequenced = knobs.enabled;
-}
-
 // The options every filter class shares.
 template <typename Filter>
 typename Filter::Options FilterOptions(const PipelineOptions& options,
@@ -110,9 +100,7 @@ typename Filter::Options FilterOptions(const PipelineOptions& options,
   filter.processing_cost = options.processing_cost;
   filter.recovery.enabled = knobs.enabled;
   filter.recovery.checkpoint_every = knobs.checkpoint_every;
-  filter.recovery.deadline = knobs.deadline;
-  filter.recovery.retry_attempts = knobs.retry_attempts;
-  filter.recovery.retry_backoff = knobs.retry_backoff;
+  filter.recovery.retry = knobs.retry;
   return filter;
 }
 
@@ -210,7 +198,8 @@ void Instantiation::Add(const verify::StageSpec& stage,
   } else if (stage.is_source) {
     PushSource::Options source;
     source.batch = options.batch;
-    SetRecovery(source, knobs);
+    source.retry = knobs.retry;
+    source.sequenced = knobs.enabled;
     PushSource& push = kernel.Create<PushSource>(node, std::move(input), source);
     output = [&push](const Uid& to, const Value& channel) {
       push.BindOutput(to, channel);
@@ -220,20 +209,21 @@ void Instantiation::Add(const verify::StageSpec& stage,
     PullSink::Options sink;
     sink.batch = options.batch;
     sink.lookahead = options.lookahead;
-    SetRecovery(sink, knobs);
+    sink.retry = knobs.retry;
+    sink.sequenced = knobs.enabled;
     handle.pull_sink = &kernel.Create<PullSink>(node, upstream,
                                                 Value(feed->channel), sink);
     eject = handle.pull_sink;
   } else if (stage.is_sink) {
     PushSink::Options sink;
-    sink.capacity = stage.hiwat;
+    sink.hiwat = stage.hiwat;
     sink.lowat = stage.lowat;
     sink.sequenced = knobs.enabled;
     handle.push_sink = &kernel.Create<PushSink>(node, sink);
     eject = handle.push_sink;
   } else if (stage.passive_input && stage.passive_output) {
     PassiveBuffer::Options pipe;
-    pipe.capacity = stage.hiwat;
+    pipe.hiwat = stage.hiwat;
     pipe.lowat = stage.lowat;
     pipe.sequenced = knobs.enabled;
     eject = &kernel.Create<PassiveBuffer>(node, pipe);
@@ -253,7 +243,7 @@ void Instantiation::Add(const verify::StageSpec& stage,
                                             index, output);
     } else if (stage.passive_input) {
       auto filter = FilterOptions<WriteOnlyFilter>(options, knobs);
-      filter.input_capacity = stage.hiwat;
+      filter.input_hiwat = stage.hiwat;
       filter.input_lowat = stage.lowat;
       eject = &CreateFilter<WriteOnlyFilter>(kernel, node, stages[index],
                                              filter, index, output);
@@ -279,7 +269,7 @@ void Instantiation::AddMonitor() {
     return;
   }
   PipelineMonitor& monitor = kernel.Create<PipelineMonitor>(
-      NodeId{0}, std::move(filters), knobs.probe_interval, knobs.deadline);
+      NodeId{0}, std::move(filters), knobs.probe_interval, knobs.retry.deadline);
   PipelineHandle sinks;
   sinks.pull_sink = handle.pull_sink;
   sinks.push_sink = handle.push_sink;

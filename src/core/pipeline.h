@@ -44,12 +44,10 @@ std::string_view DisciplineName(Discipline discipline);
 // to a fault-free run.
 struct PipelineRecoveryOptions {
   bool enabled = false;
-  // Per Transfer/Push invocation. Must exceed the longest legitimate reply
-  // withholding (flow control, §4's partial vacuum) or fault-free runs will
-  // record spurious timeouts.
-  Tick deadline = 25'000;
-  int retry_attempts = 8;
-  Tick retry_backoff = 2'000;  // first retry delay; doubles per attempt
+  // Per Transfer/Push invocation. The deadline must exceed the longest
+  // legitimate reply withholding (flow control, §4's partial vacuum) or
+  // fault-free runs will record spurious timeouts.
+  RetryPolicy retry{.deadline = 25'000, .attempts = 8, .backoff = 2'000};
   uint64_t checkpoint_every = 16;
   Tick probe_interval = 10'000;  // monitor liveness probe period
 };
@@ -60,7 +58,7 @@ struct PipelineOptions {
   size_t lookahead = 0;        // reader prefetch (read-only & conventional)
   size_t work_ahead = 4;       // producer-side buffering beyond demand (hiwat)
   size_t work_ahead_lowat = 0; // resume work-ahead below this (0 = derive)
-  size_t pipe_capacity = 16;   // PassiveBuffer capacity/hiwat (conventional)
+  size_t pipe_capacity = 16;   // PassiveBuffer hiwat, both faces (conventional)
   size_t pipe_lowat = 0;       // release parked pushers below this (0 = derive)
   size_t acceptor_capacity = 8;   // passive-input hiwat (write-only)
   size_t acceptor_lowat = 0;      // release withheld pushes below this

@@ -58,9 +58,7 @@ verify::RecoveryKnobs EffectiveRecovery(const PipelineOptions& options) {
   verify::RecoveryKnobs knobs;
   knobs.enabled = options.recovery.enabled;
   if (options.recovery.enabled) {
-    knobs.deadline = options.recovery.deadline;
-    knobs.retry_attempts = options.recovery.retry_attempts;
-    knobs.retry_backoff = options.recovery.retry_backoff;
+    knobs.retry = options.recovery.retry;
     knobs.checkpoint_every = options.recovery.checkpoint_every;
     knobs.probe_interval = options.recovery.probe_interval;
   }

@@ -18,8 +18,9 @@
 //
 //   Push      PushArgs {chan, items:[...], end:bool}  ->  PushAck {}
 //     Active output / passive input. The reply is the flow-control signal:
-//     it is withheld while the receiving buffer is above capacity. An empty
-//     PushAck encodes as nil.
+//     it is withheld once the receiving buffer reaches its high watermark,
+//     until the owner drains it below the low one. An empty PushAck encodes
+//     as nil.
 //
 //   OpenChannel {name:str}               ->  {chan:uid}
 //     Mints an unforgeable capability for a named output channel (§5's
@@ -104,13 +105,14 @@ struct FlowLimits {
 };
 
 // The retry rule of the active ends (StreamReader's Transfers, StreamWriter's
-// Pushes). A failure worth re-invoking over — the target was briefly gone
-// (crash before reactivation) or the network swallowed a message — is
-// retried up to `attempts` times, the k-th retry after `backoff << (k-1)`
-// ticks. Anything else (bad channel, permission, data loss) is final. The
-// caller keeps the Invoke and Sleep awaits in its own coroutine frame:
+// Pushes), applying a RetryPolicy. A failure worth re-invoking over — the
+// target was briefly gone (crash before reactivation) or the network
+// swallowed a message — is retried up to `policy.attempts` times, the k-th
+// retry after `policy.backoff << (k-1)` ticks. Anything else (bad channel,
+// permission, data loss) is final. The caller keeps the Invoke and Sleep
+// awaits in its own coroutine frame:
 //
-//   RetryBudget retry(kernel.stats(), attempts, backoff);
+//   RetryBudget retry(kernel.stats(), policy);
 //   for (;;) {
 //     InvokeResult result = co_await owner.Invoke(...);
 //     if (std::optional<Tick> delay = retry.Next(result.status)) {
@@ -122,8 +124,8 @@ struct FlowLimits {
 //   }
 class RetryBudget {
  public:
-  RetryBudget(AtomicStats& stats, int attempts, Tick backoff)
-      : stats_(stats), attempts_(attempts), backoff_(backoff) {}
+  RetryBudget(AtomicStats& stats, const RetryPolicy& policy)
+      : stats_(stats), attempts_(policy.attempts), backoff_(policy.backoff) {}
 
   // After an invocation: the pause before re-invoking (0 = at once), or
   // nullopt once `status` is final. Counts the retry.

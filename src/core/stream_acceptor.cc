@@ -9,13 +9,6 @@
 
 namespace eden {
 
-void StreamAcceptor::DeclareChannel(std::string name, ChannelOptions options) {
-  bool fresh = table_.Declare(name, options.capability_only);
-  assert(fresh && "input channel declared twice");
-  (void)fresh;
-  channels_.try_emplace(std::move(name), owner_, options);
-}
-
 void StreamAcceptor::InstallOps() {
   owner_.RegisterOp(std::string(kOpPush),
                     [this](InvocationContext ctx) { HandlePush(std::move(ctx)); });
@@ -25,16 +18,7 @@ void StreamAcceptor::InstallOps() {
   }
 }
 
-StreamAcceptor::InChannel* StreamAcceptor::Find(std::string_view name) {
-  auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-const StreamAcceptor::InChannel* StreamAcceptor::Find(std::string_view name) const {
-  auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-
-PushAck StreamAcceptor::PushReply(const InChannel& channel) const {
+PushAck StreamAcceptor::PushReply(const AcceptorChannel& channel) const {
   if (!channel.sequenced) {
     return PushAck{};
   }
@@ -52,9 +36,8 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel identifier");
     return;
   }
-  InChannel* ch = Find(*name);
+  AcceptorChannel* ch = Find(*name);
   assert(ch != nullptr);
-  pushes_received_++;
   ValueList& items = args->items;
   size_t count = items.size();
   Band band = ch->BandOf(args->band);
@@ -113,7 +96,7 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   ctx.Reply(PushReply(*ch));
 }
 
-void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
+void StreamAcceptor::ReleaseWithheld(AcceptorChannel& channel) {
   // The lowat rule: a parked producer stays parked until the owner drains
   // the queue below the low watermark (hysteresis — one wakeup per drain
   // cycle, not per item). End of stream voids flow control entirely: the
@@ -129,7 +112,7 @@ void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
 
 Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
     std::string_view channel, std::optional<Band> band) {
-  InChannel* ch = Find(channel);
+  AcceptorChannel* ch = Find(channel);
   assert(ch != nullptr && "read from undeclared input channel");
   // Sequenced channels are single-band: their control queue is always
   // empty, so a control-band loop simply idles until end of stream.
@@ -162,7 +145,7 @@ Task<std::optional<Value>> StreamAcceptor::Next(std::string_view channel) {
 }
 
 bool StreamAcceptor::CanPut(std::string_view channel, Band band) const {
-  const InChannel* ch = Find(channel);
+  const AcceptorChannel* ch = Find(channel);
   if (ch == nullptr) {
     return false;
   }
@@ -173,7 +156,7 @@ bool StreamAcceptor::CanPut(std::string_view channel, Band band) const {
 }
 
 void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
-  InChannel* ch = Find(channel);
+  AcceptorChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared input channel");
   assert(ch->consumed > 0 && "put-back without a matching take");
   // The position is back in the queue: un-consume it so sequenced acks (and
@@ -187,64 +170,38 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
 }
 
 bool StreamAcceptor::ended(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
+  const AcceptorChannel* ch = Find(channel);
   return ch == nullptr || (ch->ended && !ch->Holds());
 }
 
-size_t StreamAcceptor::buffered(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->Depth();
-}
-
-FlowLimits StreamAcceptor::limits(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
-  return ch == nullptr ? FlowLimits{} : ch->limits;
-}
-
 uint64_t StreamAcceptor::accepted(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
+  const AcceptorChannel* ch = Find(channel);
   return ch == nullptr ? 0 : ch->next_seq;
 }
 
 void StreamAcceptor::SetDurable(std::string_view channel, uint64_t pos) {
-  InChannel* ch = Find(channel);
+  AcceptorChannel* ch = Find(channel);
   assert(ch != nullptr && "SetDurable on undeclared input channel");
   ch->durable = pos;
   ch->explicit_durable = true;
 }
 
-Value StreamAcceptor::SaveChannels() const {
-  ValueMap state;
-  for (const auto& [name, ch] : channels_) {
-    Value v;
-    v.Set("ended", Value(ch.ended));
-    v.Set("next", Value(ch.next_seq));
-    v.Set("consumed", Value(ch.consumed));
-    ch.Save(v);
-    state.emplace(name, std::move(v));
-  }
-  return Value(std::move(state));
+void AcceptorChannel::Save(Value& state) const {
+  state.Set("ended", Value(ended));
+  state.Set("next", Value(next_seq));
+  state.Set("consumed", Value(consumed));
+  BandedChannel::Save(state);
 }
 
-void StreamAcceptor::RestoreChannels(const Value& state) {
-  const ValueMap* map = state.AsMap();
-  if (map == nullptr) {
-    return;
-  }
-  for (const auto& [name, v] : *map) {
-    InChannel* ch = Find(name);
-    if (ch == nullptr) {
-      continue;  // channel set is part of the type, not the checkpoint
-    }
-    ch->ended = v.Field("ended").BoolOr(false);
-    ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
-    ch->consumed = static_cast<uint64_t>(v.Field("consumed").IntOr(0));
-    ch->Restore(v);
-    if (ch->sequenced) {
-      // Everything the checkpoint accepted is, by definition, durable now.
-      ch->durable = ch->next_seq;
-      ch->explicit_durable = true;
-    }
+void AcceptorChannel::Restore(const Value& state) {
+  ended = state.Field("ended").BoolOr(false);
+  next_seq = static_cast<uint64_t>(state.Field("next").IntOr(0));
+  consumed = static_cast<uint64_t>(state.Field("consumed").IntOr(0));
+  BandedChannel::Restore(state);
+  if (sequenced) {
+    // Everything the checkpoint accepted is, by definition, durable now.
+    durable = next_seq;
+    explicit_durable = true;
   }
 }
 

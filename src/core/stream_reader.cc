@@ -75,8 +75,7 @@ void StreamReader::Ingest(InvokeResult result) {
 
 Task<void> StreamReader::FetchOnce() {
   fetch_in_flight_ = true;
-  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
-                    options_.retry_backoff);
+  RetryBudget retry(owner_.kernel().stats(), options_.retry);
   for (;;) {
     TransferArgs args{channel_, options_.batch};
     if (options_.sequenced) {
@@ -85,7 +84,7 @@ Task<void> StreamReader::FetchOnce() {
     }
     InvokeResult result =
         co_await owner_.Invoke(source_, std::string(kOpTransfer), std::move(args),
-                               options_.deadline);
+                               options_.retry.deadline);
     if (std::optional<Tick> delay = retry.Next(result.status)) {
       if (*delay > 0) {
         co_await owner_.Sleep(*delay);
@@ -143,7 +142,6 @@ Task<std::optional<Value>> StreamReader::Next() {
   }
   Value item = std::move(buffer_.front());
   buffer_.pop_front();
-  items_read_++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
                     1);
@@ -180,7 +178,6 @@ Task<ValueList> StreamReader::NextBatch() {
     items.push_back(std::move(buffer_.front()));
     buffer_.pop_front();
   }
-  items_read_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
       mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),

@@ -9,29 +9,13 @@
 
 namespace eden {
 
-void StreamServer::DeclareChannel(std::string name, ChannelOptions options) {
-  bool fresh = table_.Declare(name, options.capability_only);
-  assert(fresh && "channel declared twice");
-  (void)fresh;
-  channels_.try_emplace(std::move(name), owner_, options);
-}
-
 void StreamServer::InstallOps() {
   owner_.RegisterOp(std::string(kOpTransfer),
                     [this](InvocationContext ctx) { HandleTransfer(std::move(ctx)); });
   table_.AnswerOpenChannel(owner_);
 }
 
-StreamServer::OutChannel* StreamServer::Find(std::string_view name) {
-  auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-const StreamServer::OutChannel* StreamServer::Find(std::string_view name) const {
-  auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-
-bool StreamServer::WriteBlocked(OutChannel& channel) {
+bool StreamServer::WriteBlocked(ServerChannel& channel) {
   // hiwat 0 is pure §4 laziness: the producer proceeds only on parked
   // demand (checked by the caller) or once the channel closes.
   if (channel.limits.hiwat == 0) {
@@ -53,7 +37,7 @@ bool StreamServer::WriteBlocked(OutChannel& channel) {
 }
 
 Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) {
-  OutChannel* ch = Find(channel);
+  ServerChannel* ch = Find(channel);
   assert(ch != nullptr && "write to undeclared channel");
   if (ch->BandOf(band) == Band::kData) {
     // The producer may run ahead of demand by at most `hiwat` items; with
@@ -84,7 +68,7 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
 }
 
 bool StreamServer::CanPut(std::string_view channel, Band band) const {
-  const OutChannel* ch = Find(channel);
+  const ServerChannel* ch = Find(channel);
   if (ch == nullptr || ch->closed) {
     return false;
   }
@@ -105,7 +89,7 @@ bool StreamServer::CanPut(std::string_view channel, Band band) const {
 }
 
 void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
-  OutChannel* ch = Find(channel);
+  ServerChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared channel");
   // The item enters the production buffer for the first time (the owner
   // cannot take items back out of a server buffer), so it counts as
@@ -121,7 +105,7 @@ void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
 }
 
 void StreamServer::Close(std::string_view channel) {
-  OutChannel* ch = Find(channel);
+  ServerChannel* ch = Find(channel);
   assert(ch != nullptr && "close of undeclared channel");
   if (ch->closed) {
     return;
@@ -153,7 +137,7 @@ void StreamServer::AbortAll(Status status) {
   }
 }
 
-void StreamServer::Pump(OutChannel& channel) {
+void StreamServer::Pump(ServerChannel& channel) {
   while (!channel.parked.empty()) {
     if (channel.abort_status.ok()) {
       // A request for an already-served position can be answered from the
@@ -270,7 +254,7 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
     ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel identifier");
     return;
   }
-  OutChannel* ch = Find(*name);
+  ServerChannel* ch = Find(*name);
   assert(ch != nullptr);
   if (ch->sequenced && args->ack) {
     // Positions below the caller's durable mark can never be re-requested.
@@ -292,70 +276,39 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
   Pump(*ch);
 }
 
-size_t StreamServer::buffered(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->Depth();
-}
-
-FlowLimits StreamServer::limits(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? FlowLimits{} : ch->limits;
-}
-
 size_t StreamServer::parked_requests(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
+  const ServerChannel* ch = Find(channel);
   return ch == nullptr ? 0 : ch->parked.size();
 }
 
 bool StreamServer::closed(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
+  const ServerChannel* ch = Find(channel);
   return ch == nullptr || ch->closed;
 }
 
-uint64_t StreamServer::served_seq(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->next_seq;
-}
-
 uint64_t StreamServer::acked(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
+  const ServerChannel* ch = Find(channel);
   return ch == nullptr ? 0 : ch->replay_base;
 }
 
-Value StreamServer::SaveChannels() const {
-  ValueMap state;
-  for (const auto& [name, ch] : channels_) {
-    Value v;
-    v.Set("closed", Value(ch.closed));
-    v.Set("next", Value(ch.next_seq));
-    v.Set("base", Value(ch.replay_base));
-    v.Set("replay", Value(ValueList(ch.replay.begin(), ch.replay.end())));
-    ch.Save(v);
-    state.emplace(name, std::move(v));
-  }
-  return Value(std::move(state));
+void ServerChannel::Save(Value& state) const {
+  state.Set("closed", Value(closed));
+  state.Set("next", Value(next_seq));
+  state.Set("base", Value(replay_base));
+  state.Set("replay", Value(ValueList(replay.begin(), replay.end())));
+  BandedChannel::Save(state);
 }
 
-void StreamServer::RestoreChannels(const Value& state) {
-  const ValueMap* map = state.AsMap();
-  if (map == nullptr) {
-    return;
+void ServerChannel::Restore(const Value& state) {
+  closed = state.Field("closed").BoolOr(false);
+  next_seq = static_cast<uint64_t>(state.Field("next").IntOr(0));
+  replay_base = static_cast<uint64_t>(state.Field("base").IntOr(0));
+  replay.clear();
+  flow_blocked = false;
+  if (const ValueList* saved = state.Field("replay").AsList()) {
+    replay.assign(saved->begin(), saved->end());
   }
-  for (const auto& [name, v] : *map) {
-    OutChannel* ch = Find(name);
-    if (ch == nullptr) {
-      continue;  // channel set is part of the type, not the checkpoint
-    }
-    ch->closed = v.Field("closed").BoolOr(false);
-    ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
-    ch->replay_base = static_cast<uint64_t>(v.Field("base").IntOr(0));
-    ch->replay.clear();
-    ch->flow_blocked = false;
-    if (const ValueList* replay = v.Field("replay").AsList()) {
-      ch->replay.assign(replay->begin(), replay->end());
-    }
-    ch->Restore(v);
-  }
+  BandedChannel::Restore(state);
 }
 
 }  // namespace eden

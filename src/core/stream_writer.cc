@@ -27,15 +27,14 @@ Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
                     owner_.kernel().now(), items.size());
     }
   }
-  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
-                    options_.retry_backoff);
+  RetryBudget retry(owner_.kernel().stats(), options_.retry);
   for (;;) {
     pushes_sent_++;
     // While a retry remains, `items` is copied so the retry resends the same
     // payload; the last attempt moves it.
     PushArgs args{channel_, retry.exhausted() ? std::move(items) : items, end, band};
     InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush),
-                                                 std::move(args), options_.deadline);
+                                                 std::move(args), options_.retry.deadline);
     if (std::optional<Tick> delay = retry.Next(result.status)) {
       if (*delay > 0) {
         co_await owner_.Sleep(*delay);
@@ -49,8 +48,7 @@ Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
 }
 
 Task<Status> StreamWriter::SendSequenced(bool end) {
-  RetryBudget retry(owner_.kernel().stats(), options_.retry_attempts,
-                    options_.retry_backoff);
+  RetryBudget retry(owner_.kernel().stats(), options_.retry);
   for (;;) {
     uint64_t first = cursor_;
     uint64_t total = replay_base_ + replay_.size();
@@ -70,7 +68,7 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
     PushArgs args{channel_, std::move(items), end};
     args.seq = first;
     InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush),
-                                                 std::move(args), options_.deadline);
+                                                 std::move(args), options_.retry.deadline);
     if (std::optional<Tick> delay = retry.Next(result.status)) {
       if (*delay > 0) {
         co_await owner_.Sleep(*delay);

@@ -194,11 +194,9 @@ ClockSource::ClockSource(Kernel& kernel) : Eject(kernel, kType) {
 
 KeyboardSource::KeyboardSource(Kernel& kernel, std::vector<Keystroke> script)
     : Eject(kernel, kType), script_(std::move(script)), server_(*this) {
-  StreamServer::ChannelOptions out;
   // Typed input is never throttled by the reader: effectively unbounded, as
   // a real keyboard buffer would (approximately) be.
-  out.capacity = 1 << 20;
-  server_.DeclareChannel(std::string(kChanOut), out);
+  server_.DeclareChannel(std::string(kChanOut), ChannelOptions{.hiwat = 1 << 20});
   server_.InstallOps();
 }
 

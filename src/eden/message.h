@@ -22,6 +22,7 @@
 #include <string_view>
 #include <variant>
 
+#include "src/eden/clock.h"
 #include "src/eden/status.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -104,6 +105,17 @@ struct PushAck {
   std::optional<uint64_t> next = std::nullopt;
 
   size_t EncodedSize() const;
+};
+
+// How an active stream end retries its Transfers or Pushes. Each invocation
+// waits at most `deadline` ticks (0 = forever). A failure worth re-invoking
+// over (kUnavailable, kDeadlineExceeded) is retried up to `attempts` times,
+// the k-th retry after `backoff << (k-1)` ticks. RetryBudget
+// (src/core/stream.h) applies it; the topology linter checks it.
+struct RetryPolicy {
+  Tick deadline = 0;
+  int attempts = 0;
+  Tick backoff = 0;
 };
 
 // What an invocation or a reply carries.

@@ -390,25 +390,25 @@ class Linter {
     }
   }
 
-  // ASC006 — the effective_* gating contract from the fault-tolerance
+  // ASC006 — the effective_retry() gating contract from the fault-tolerance
   // layer: retry/deadline knobs act only while recovery is enabled, and an
   // enabled configuration without a deadline can never detect a lost reply.
   void CheckRecoveryKnobs() {
     const RecoveryKnobs& r = spec_.recovery;
     if (r.enabled) {
-      if (r.deadline <= 0) {
+      if (r.retry.deadline <= 0) {
         Report("ASC006", Severity::kError, Uid(),
                "recovery enabled with no invocation deadline: a lost reply "
                "parks the stream forever and no retry ever fires",
-               "set recovery.deadline above the longest legitimate reply "
+               "set recovery.retry.deadline above the longest legitimate reply "
                "withholding");
       }
-      if (r.retry_attempts <= 0) {
+      if (r.retry.attempts <= 0) {
         Report("ASC006", Severity::kError, Uid(),
                "recovery enabled with no retry attempts: a timed-out "
                "invocation is terminal, so deadlines only convert hangs "
                "into data loss",
-               "set recovery.retry_attempts > 0");
+               "set recovery.retry.attempts > 0");
       }
       if (r.checkpoint_every == 0) {
         Report("ASC006", Severity::kWarning, Uid(),
@@ -423,10 +423,10 @@ class Linter {
                "would ever reactivate it",
                "set recovery.probe_interval so the monitor pings filters");
       }
-    } else if (r.deadline > 0 || r.retry_attempts > 0 || r.retry_backoff > 0) {
+    } else if (r.retry.deadline > 0 || r.retry.attempts > 0 || r.retry.backoff > 0) {
       Report("ASC006", Severity::kWarning, Uid(),
              "retry/deadline knobs are set but recovery is disabled; the "
-             "effective_* gating ignores them (a classic hold-back stage "
+             "effective_retry() gating ignores them (a classic hold-back stage "
              "must never time out a Transfer)",
              "set recovery.enabled, or drop the unused knobs");
     }
@@ -717,7 +717,7 @@ const std::vector<PipelineLinter::RuleInfo>& PipelineLinter::Rules() {
       {"ASC005", Severity::kError,
        "duplicate capability channel UID claim"},
       {"ASC006", Severity::kError,
-       "recovery knob inconsistency (effective_* gating)"},
+       "recovery knob inconsistency (effective_retry gating)"},
       {"ASC007", Severity::kError,
        "lazy stage that no active sink ever pulls"},
       {"ASC008", Severity::kError,

@@ -48,9 +48,7 @@ SedLite::SedLite(Kernel& kernel, StreamRef commands, StreamRef text,
       command_reader_(*this, commands.source, commands.channel),
       text_reader_(*this, text.source, text.channel),
       server_(*this) {
-  StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
-  server_.DeclareChannel(std::string(kChanOut), out);
+  server_.DeclareChannel(std::string(kChanOut), ChannelOptions{.hiwat = work_ahead});
   server_.InstallOps();
 }
 
@@ -141,9 +139,7 @@ CmpEject::CmpEject(Kernel& kernel, StreamRef left, StreamRef right,
       left_(*this, left.source, left.channel),
       right_(*this, right.source, right.channel),
       server_(*this) {
-  StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
-  server_.DeclareChannel(std::string(kChanOut), out);
+  server_.DeclareChannel(std::string(kChanOut), ChannelOptions{.hiwat = work_ahead});
   server_.InstallOps();
 }
 
@@ -184,9 +180,7 @@ MergeEject::MergeEject(Kernel& kernel, std::vector<StreamRef> inputs,
     readers_.push_back(
         std::make_unique<StreamReader>(*this, input.source, input.channel));
   }
-  StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
-  server_.DeclareChannel(std::string(kChanOut), out);
+  server_.DeclareChannel(std::string(kChanOut), ChannelOptions{.hiwat = work_ahead});
   server_.InstallOps();
 }
 

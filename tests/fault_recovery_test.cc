@@ -361,8 +361,8 @@ TEST(FaultRecoveryTest, DisabledRecoveryNeverTimesOutHoldBackStages) {
 class UndrainedAcceptor : public Eject {
  public:
   explicit UndrainedAcceptor(Kernel& kernel) : Eject(kernel, "Undrained"), acceptor(*this) {
-    StreamAcceptor::ChannelOptions options;
-    options.capacity = 2;
+    ChannelOptions options;
+    options.hiwat = 2;
     acceptor.DeclareChannel(std::string(kChanIn), options);
     acceptor.InstallOps();
   }

@@ -66,7 +66,7 @@ TEST(FlowLimitsTest, ResolveDerivesAndClampsLowat) {
 class ManualSink : public Eject {
  public:
   explicit ManualSink(Kernel& kernel,
-                      StreamAcceptor::ChannelOptions options = {})
+                      ChannelOptions options = {})
       : Eject(kernel, "ManualSink"), acceptor(*this) {
     acceptor.DeclareChannel(std::string(kChanIn), options);
     acceptor.InstallOps();
@@ -103,7 +103,7 @@ TEST(AcceptorFlowTest, WithholdsExactlyAtHiwat) {
   // depth > capacity, server parked at >= capacity). This pins the unified
   // rule: the reply that *reaches* hiwat is the first one withheld.
   Kernel kernel;
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 4;
   options.lowat = 2;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
@@ -119,7 +119,7 @@ TEST(AcceptorFlowTest, WithholdsExactlyAtHiwat) {
 
 TEST(AcceptorFlowTest, ReleasesOnlyBelowLowat) {
   Kernel kernel;
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 4;
   options.lowat = 2;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
@@ -143,12 +143,11 @@ TEST(AcceptorFlowTest, ReleasesOnlyBelowLowat) {
   EXPECT_EQ(acked, 4);
 }
 
-TEST(AcceptorFlowTest, DefaultCapacityActsAsHiwat) {
-  // Legacy surface: capacity alone (no explicit watermarks) resolves to
-  // hiwat = capacity, lowat = capacity / 2.
+TEST(AcceptorFlowTest, HiwatAloneDerivesLowat) {
+  // hiwat alone (no explicit lowat) resolves to lowat = hiwat / 2.
   Kernel kernel;
-  StreamAcceptor::ChannelOptions options;
-  options.capacity = 8;
+  ChannelOptions options;
+  options.hiwat = 8;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
   EXPECT_EQ(sink.acceptor.limits(kChanIn).hiwat, 8u);
   EXPECT_EQ(sink.acceptor.limits(kChanIn).lowat, 4u);
@@ -158,7 +157,7 @@ TEST(AcceptorFlowTest, EndReleasesWithheldRepliesImmediately) {
   // The end-vs-drain race: a producer whose reply is withheld must not hang
   // once the stream ends — end short-circuits the lowat rule.
   Kernel kernel;
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 2;
   options.lowat = 1;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
@@ -187,7 +186,7 @@ TEST(AcceptorFlowTest, ControlBandIsNeverWithheldAndOvertakes) {
   Kernel kernel;
   MetricsRegistry metrics;
   kernel.set_metrics(&metrics);
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 2;
   options.lowat = 1;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
@@ -227,7 +226,7 @@ TEST(AcceptorFlowTest, PutBackPreservesOrderWithinBand) {
   Kernel kernel;
   MetricsRegistry metrics;
   kernel.set_metrics(&metrics);
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 16;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
   int acked = 0;
@@ -261,7 +260,7 @@ TEST(AcceptorFlowTest, PutBackPreservesOrderWithinBand) {
 
 TEST(AcceptorFlowTest, CanPutTracksWatermarkAndBand) {
   Kernel kernel;
-  StreamAcceptor::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 2;
   options.lowat = 1;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
@@ -283,7 +282,7 @@ TEST(AcceptorFlowTest, CanPutTracksWatermarkAndBand) {
 class ManualSource : public Eject {
  public:
   explicit ManualSource(Kernel& kernel,
-                        StreamServer::ChannelOptions options = {})
+                        ChannelOptions options = {})
       : Eject(kernel, "ManualSource"), server(*this) {
     server.DeclareChannel(std::string(kChanOut), options);
     server.InstallOps();
@@ -318,7 +317,7 @@ TEST(ServerFlowTest, BlocksAtHiwatAndResumesBelowLowat) {
   Kernel kernel;
   MetricsRegistry metrics;
   kernel.set_metrics(&metrics);
-  StreamServer::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 4;
   options.lowat = 2;
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
@@ -348,7 +347,7 @@ TEST(ServerFlowTest, BlocksAtHiwatAndResumesBelowLowat) {
 
 TEST(ServerFlowTest, CanPutMirrorsTheBlockingRule) {
   Kernel kernel;
-  StreamServer::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 2;
   options.lowat = 1;
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
@@ -363,7 +362,7 @@ TEST(ServerFlowTest, CanPutMirrorsTheBlockingRule) {
 
 TEST(ServerFlowTest, ControlWriteBypassesFlowControlAndLeadsTheBatch) {
   Kernel kernel;
-  StreamServer::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 2;
   options.lowat = 1;
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
@@ -389,7 +388,7 @@ TEST(ServerFlowTest, ControlWriteBypassesFlowControlAndLeadsTheBatch) {
 
 TEST(ServerFlowTest, PutBackRestoresTheFrontOfTheBand) {
   Kernel kernel;
-  StreamServer::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 8;
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
   source.ProduceUpTo(3);
@@ -409,7 +408,7 @@ TEST(ServerFlowTest, PutBackServesParkedDemand) {
   // A Transfer parked on an empty buffer is answered by the put-back itself,
   // not left waiting for the producer's next Write or Close.
   Kernel kernel;
-  StreamServer::ChannelOptions options;
+  ChannelOptions options;
   options.hiwat = 8;
   ManualSource& source = kernel.CreateLocal<ManualSource>(options);
   std::optional<InvokeResult> reply;
@@ -546,7 +545,7 @@ TEST(BandTest, ControlOvertakesASaturatedPassiveBuffer) {
   // the per-band service loops never let it queue behind stuck data.
   Kernel kernel;
   PassiveBuffer::Options popt;
-  popt.capacity = 3;
+  popt.hiwat = 3;
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(popt);
 
   class Producer : public Eject {

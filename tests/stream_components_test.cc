@@ -30,10 +30,10 @@ ValueList MakeInts(int n) {
 // A bare Eject hosting a StreamServer whose production we control by hand.
 class ManualSource : public Eject {
  public:
-  explicit ManualSource(Kernel& kernel, size_t capacity = 4)
+  explicit ManualSource(Kernel& kernel, size_t hiwat = 4)
       : Eject(kernel, "ManualSource"), server(*this) {
-    StreamServer::ChannelOptions options;
-    options.capacity = capacity;
+    ChannelOptions options;
+    options.hiwat = hiwat;
     server.DeclareChannel(std::string(kChanOut), options);
     server.InstallOps();
   }
@@ -201,10 +201,10 @@ TEST(StreamServerTest, ZeroCapacityIsPureRendezvous) {
 
 class ManualSink : public Eject {
  public:
-  explicit ManualSink(Kernel& kernel, size_t capacity = 2)
+  explicit ManualSink(Kernel& kernel, size_t hiwat = 2)
       : Eject(kernel, "ManualSink"), acceptor(*this) {
-    StreamAcceptor::ChannelOptions options;
-    options.capacity = capacity;
+    ChannelOptions options;
+    options.hiwat = hiwat;
     acceptor.DeclareChannel(std::string(kChanIn), options);
     acceptor.InstallOps();
   }
@@ -408,7 +408,7 @@ TEST(PassiveBufferTest, CountsItemsThrough) {
 TEST(PassiveBufferTest, CapacityOnePipeStillDeliversEverything) {
   Kernel kernel;
   PassiveBuffer::Options options;
-  options.capacity = 1;
+  options.hiwat = 1;
   PushSource& source = kernel.CreateLocal<PushSource>(MakeInts(20));
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(options);
   PullSink& sink = kernel.CreateLocal<PullSink>(pipe.uid(),

@@ -215,12 +215,12 @@ class PutBackRelay : public Eject {
  public:
   explicit PutBackRelay(Kernel& kernel)
       : Eject(kernel, "PutBackRelay"), acceptor_(*this), server_(*this) {
-    StreamAcceptor::ChannelOptions in;
+    ChannelOptions in;
     in.hiwat = 4;
     in.lowat = 2;
     acceptor_.DeclareChannel(std::string(kChanIn), in);
     acceptor_.InstallOps();
-    StreamServer::ChannelOptions out;
+    ChannelOptions out;
     out.hiwat = 3;
     out.lowat = 1;
     server_.DeclareChannel(std::string(kChanOut), out);
@@ -262,7 +262,7 @@ Facts RunOverload() {
   PullSink& relay_sink =
       kernel.CreateLocal<PullSink>(relay.uid(), Value(std::string(kChanOut)));
   PassiveBuffer::Options pipe_options;
-  pipe_options.capacity = 3;
+  pipe_options.hiwat = 3;
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(pipe_options);
   BandedProducer& pipe_producer =
       kernel.CreateLocal<BandedProducer>(pipe.uid(), 30, 5);

@@ -126,7 +126,7 @@ TEST(TraceTest, DropAndTimeoutAreRecordedAndRendered) {
 
   VectorSource& source = kernel.CreateLocal<VectorSource>(ValueList{Value("x")});
   PullSink::Options options;
-  options.deadline = 500;
+  options.retry.deadline = 500;
   PullSink& sink = kernel.CreateLocal<PullSink>(
       source.uid(), Value(std::string(kChanOut)), options);
   kernel.RunUntil([&] { return sink.done(); });

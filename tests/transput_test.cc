@@ -119,7 +119,7 @@ TEST(StreamTest, PassiveBufferFlowControlBoundsBuffering) {
   Kernel kernel;
   PushSource& source = kernel.CreateLocal<PushSource>(MakeInts(100));
   PassiveBuffer::Options options;
-  options.capacity = 4;
+  options.hiwat = 4;
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(options);
   source.BindOutput(pipe.uid(), Value(std::string(kChanIn)));
   kernel.Run();

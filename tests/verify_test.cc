@@ -196,25 +196,22 @@ TEST(LintTest, ASC005RejectsDuplicateCapabilityClaims) {
 TEST(LintTest, ASC006ChecksRecoveryKnobConsistency) {
   // Enabled without a deadline: a lost reply parks the stream forever.
   TopologySpec t = ReadOnlyChain();
-  t.recovery = {.enabled = true, .deadline = 0, .retry_attempts = 4,
-                .retry_backoff = 100, .checkpoint_every = 8,
-                .probe_interval = 500};
+  t.recovery = {.enabled = true, .retry = {.deadline = 0, .attempts = 4, .backoff = 100},
+                .checkpoint_every = 8, .probe_interval = 500};
   LintReport report = PipelineLinter().Lint(t);
   ASSERT_TRUE(report.HasRule("ASC006")) << report.ToString();
   EXPECT_GE(report.error_count(), 1u);
 
   // Enabled without retries: deadlines convert hangs into data loss.
-  t.recovery = {.enabled = true, .deadline = 1000, .retry_attempts = 0,
-                .retry_backoff = 100, .checkpoint_every = 8,
-                .probe_interval = 500};
+  t.recovery = {.enabled = true, .retry = {.deadline = 1000, .attempts = 0, .backoff = 100},
+                .checkpoint_every = 8, .probe_interval = 500};
   report = PipelineLinter().Lint(t);
   ASSERT_TRUE(report.HasRule("ASC006")) << report.ToString();
   EXPECT_GE(report.error_count(), 1u);
 
   // checkpoint_every == 0 is legal but replays the world: warning only.
-  t.recovery = {.enabled = true, .deadline = 1000, .retry_attempts = 4,
-                .retry_backoff = 100, .checkpoint_every = 0,
-                .probe_interval = 500};
+  t.recovery = {.enabled = true, .retry = {.deadline = 1000, .attempts = 4, .backoff = 100},
+                .checkpoint_every = 0, .probe_interval = 500};
   report = PipelineLinter().Lint(t);
   EXPECT_TRUE(report.HasRule("ASC006")) << report.ToString();
   EXPECT_EQ(report.error_count(), 0u);
@@ -223,26 +220,23 @@ TEST(LintTest, ASC006ChecksRecoveryKnobConsistency) {
   // Conventional discipline without a probe: both correspondents of a
   // crashed filter are passive, nothing reactivates it.
   t.flavor = Flavor::kConventional;
-  t.recovery = {.enabled = true, .deadline = 1000, .retry_attempts = 4,
-                .retry_backoff = 100, .checkpoint_every = 8,
-                .probe_interval = 0};
+  t.recovery = {.enabled = true, .retry = {.deadline = 1000, .attempts = 4, .backoff = 100},
+                .checkpoint_every = 8, .probe_interval = 0};
   report = PipelineLinter().Lint(t);
   EXPECT_TRUE(report.HasRule("ASC006")) << report.ToString();
   EXPECT_GE(report.warning_count(), 1u);
   t.flavor = Flavor::kReadOnly;
 
-  // Knobs set but recovery disabled: the effective_* gating ignores them.
-  t.recovery = {.enabled = false, .deadline = 1000, .retry_attempts = 4,
-                .retry_backoff = 100, .checkpoint_every = 8,
-                .probe_interval = 500};
+  // Knobs set but recovery disabled: the effective_retry() gating ignores them.
+  t.recovery = {.enabled = false, .retry = {.deadline = 1000, .attempts = 4, .backoff = 100},
+                .checkpoint_every = 8, .probe_interval = 500};
   report = PipelineLinter().Lint(t);
   EXPECT_TRUE(report.HasRule("ASC006")) << report.ToString();
   EXPECT_EQ(report.error_count(), 0u);
 
   // Fully consistent configuration: silent.
-  t.recovery = {.enabled = true, .deadline = 1000, .retry_attempts = 4,
-                .retry_backoff = 100, .checkpoint_every = 8,
-                .probe_interval = 500};
+  t.recovery = {.enabled = true, .retry = {.deadline = 1000, .attempts = 4, .backoff = 100},
+                .checkpoint_every = 8, .probe_interval = 500};
   report = PipelineLinter().Lint(t);
   EXPECT_FALSE(report.HasRule("ASC006")) << report.ToString();
 }
@@ -488,7 +482,7 @@ TEST(PipelinePlanTest, DescribePipelineMatchesAsBuilt) {
     verify::TopologySpec spec = DescribePipeline(handle, options);
     EXPECT_EQ(spec.flavor, plan.flavor);
     EXPECT_EQ(spec.recovery.enabled, plan.recovery.enabled);
-    EXPECT_EQ(spec.recovery.deadline, plan.recovery.deadline);
+    EXPECT_EQ(spec.recovery.retry.deadline, plan.recovery.retry.deadline);
     EXPECT_EQ(spec.recovery.checkpoint_every, plan.recovery.checkpoint_every);
     EXPECT_EQ(spec.has_concurrency, plan.has_concurrency);
     EXPECT_EQ(spec.shards, plan.shards);
@@ -568,7 +562,7 @@ TEST(PipelinePlanTest, DescribeRejectedHandleAddsNoFinding) {
     // lowat above the hiwat of the discipline's bounded queues (ASC009).
     PipelineOptions knobs = OptionsFor(d);
     knobs.recovery.enabled = true;
-    knobs.recovery.deadline = 0;
+    knobs.recovery.retry.deadline = 0;
     PipelineOptions watermarks = OptionsFor(d);
     watermarks.work_ahead_lowat = 9;
     watermarks.acceptor_lowat = 9;
@@ -601,7 +595,7 @@ TEST(LintGateTest, RejectsInconsistentRecoveryBeforeAnyEjectExists) {
   PipelineOptions options;
   options.lint_before_activate = true;
   options.recovery.enabled = true;
-  options.recovery.deadline = 0;  // ASC006: enabled without a deadline
+  options.recovery.retry.deadline = 0;  // ASC006: enabled without a deadline
   std::vector<TransformFactory> stages = {Copy()};
   PipelineHandle handle =
       BuildPipeline(kernel, {Value("x")}, stages, options);
