@@ -28,8 +28,8 @@
 
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
-#include "src/eden/metrics.h"
 #include "src/eden/ring.h"
+#include "src/eden/stream_facts.h"
 #include "src/eden/sync.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"

@@ -109,9 +109,6 @@ Task<void> PullSink::Pump() {
     }
   }
   done_ = true;
-  if (on_done_) {
-    on_done_();
-  }
 }
 
 // ------------------------------------------------------------------- PushSink
@@ -144,9 +141,6 @@ Task<void> PushSink::Drain() {
     }
   }
   done_ = true;
-  if (on_done_) {
-    on_done_();
-  }
 }
 
 }  // namespace eden

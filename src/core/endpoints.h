@@ -15,7 +15,6 @@
 #ifndef SRC_CORE_ENDPOINTS_H_
 #define SRC_CORE_ENDPOINTS_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -125,7 +124,6 @@ class PullSink : public Eject {
   // Virtual time at which the first item arrived (-1 if none yet). Used by
   // the laziness experiments.
   Tick first_item_at() const { return first_item_at_; }
-  void set_on_done(std::function<void()> fn) { on_done_ = std::move(fn); }
 
  private:
   Task<void> Pump();
@@ -135,7 +133,6 @@ class PullSink : public Eject {
   ValueList items_;
   bool done_ = false;
   Tick first_item_at_ = -1;
-  std::function<void()> on_done_;
 };
 
 // ------------------------------------------------------------------- PushSink
@@ -165,7 +162,6 @@ class PushSink : public Eject {
   const std::vector<Tick>& control_drained_at() const { return control_at_; }
   StreamAcceptor& acceptor() { return acceptor_; }
   Tick first_item_at() const { return first_item_at_; }
-  void set_on_done(std::function<void()> fn) { on_done_ = std::move(fn); }
 
  private:
   Task<void> Drain();
@@ -177,7 +173,6 @@ class PushSink : public Eject {
   std::vector<Tick> control_at_;
   bool done_ = false;
   Tick first_item_at_ = -1;
-  std::function<void()> on_done_;
 };
 
 }  // namespace eden

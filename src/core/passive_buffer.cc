@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/eden/metrics.h"
+#include "src/eden/stream_facts.h"
 
 namespace eden {
 

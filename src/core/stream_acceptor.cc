@@ -4,9 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/eden/metrics.h"
-#include "src/eden/monitor.h"
-
 namespace eden {
 
 void StreamAcceptor::InstallOps() {
@@ -62,15 +59,9 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     ch->next_seq++;
     items_received_++;
   }
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    if (count > skip) {
-      mon->OnAccepted(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      count - skip, BandIndex(band));
-    }
-    if (ch->sequenced) {
-      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      SeqCounter::kAcceptorNext, ch->next_seq);
-    }
+  owner_.kernel().ObserveItems(ItemFlow::kAccepted, owner_, count - skip, Uid(), BandIndex(band));
+  if (ch->sequenced) {
+    owner_.kernel().ObserveSequence(SeqCounter::kAcceptorNext, owner_, ch->next_seq);
   }
   ch->ReportDepth();
   if (args->end) {
@@ -127,10 +118,7 @@ Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
   Band from = band.value_or(ch->FrontBand());
   Taken taken{ch->Take(from), from};
   ch->consumed++;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                    1, BandIndex(taken.band));
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kConsumed, owner_, 1, Uid(), BandIndex(taken.band));
   ch->ReportDepth();
   ReleaseWithheld(*ch);
   co_return std::optional<Taken>(std::move(taken));
@@ -162,10 +150,7 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   // The position is back in the queue: un-consume it so sequenced acks (and
   // the saved consumed mark) stay truthful.
   ch->consumed--;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnPutBack(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(), 1,
-                   BandIndex(ch->BandOf(band)));
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kPutBack, owner_, 1, Uid(), BandIndex(ch->BandOf(band)));
   ch->PutBack(std::move(item), band);
 }
 

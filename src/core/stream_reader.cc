@@ -4,9 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/eden/metrics.h"
-#include "src/eden/monitor.h"
-
 namespace eden {
 
 void StreamReader::ResumeAt(uint64_t seq) {
@@ -56,14 +53,9 @@ void StreamReader::Ingest(InvokeResult result) {
     buffer_.push_back(std::move(items[i]));
     next_seq_++;
   }
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    // Fresh items only: the duplicate prefix was counted when it first
-    // arrived, so the pull edge accounts exactly once per item.
-    if (items.size() > dropped) {
-      mon->OnPulled(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), source_,
-                    owner_.kernel().now(), items.size() - dropped);
-    }
-  }
+  // Fresh items only: the duplicate prefix was counted when it first
+  // arrived, so the pull edge accounts exactly once per item.
+  owner_.kernel().ObserveItems(ItemFlow::kPulled, owner_, items.size() - dropped, source_);
   if (batch->end) {
     ended_ = true;
     if (status_.ok()) {
@@ -142,10 +134,7 @@ Task<std::optional<Value>> StreamReader::Next() {
   }
   Value item = std::move(buffer_.front());
   buffer_.pop_front();
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                    1);
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kConsumed, owner_, 1);
   owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_, buffer_.size());
   if (options_.lookahead > 0) {
     // Only the lookahead fetch process ever waits on room_; in inline mode
@@ -153,42 +142,6 @@ Task<std::optional<Value>> StreamReader::Next() {
     room_.Notify();
   }
   co_return std::optional<Value>(std::move(item));
-}
-
-Task<ValueList> StreamReader::NextBatch() {
-  if (options_.lookahead > 0) {
-    if (!loop_started_) {
-      loop_started_ = true;
-      owner_.Spawn(FetchLoop());
-    }
-    while (buffer_.empty() && !ended_) {
-      co_await available_.Wait();
-    }
-  } else if (buffer_.empty() && !ended_) {
-    while (fetch_in_flight_) {
-      co_await fetch_done_.Wait();
-    }
-    if (buffer_.empty() && !ended_) {
-      co_await FetchOnce();
-    }
-  }
-  ValueList items;
-  items.reserve(buffer_.size());
-  while (!buffer_.empty()) {
-    items.push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    if (!items.empty()) {
-      mon->OnConsumed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      items.size());
-    }
-  }
-  owner_.kernel().ObserveQueueDepth(QueueComponent::kReader, owner_, buffer_.size());
-  if (options_.lookahead > 0) {
-    room_.NotifyAll();
-  }
-  co_return items;
 }
 
 }  // namespace eden

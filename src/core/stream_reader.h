@@ -53,10 +53,6 @@ class StreamReader {
   // clean end from a failed source).
   Task<std::optional<Value>> Next();
 
-  // Everything currently fetchable in one go: pops the whole local buffer,
-  // fetching once if it is empty. Empty result means end-of-stream.
-  Task<ValueList> NextBatch();
-
   bool ended() const { return ended_ && buffer_.empty(); }
   // kOk while streaming; kEndOfStream after a clean end; an error code if
   // the source failed (crashed, forged channel, ...).

@@ -4,9 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/eden/metrics.h"
-#include "src/eden/monitor.h"
-
 namespace eden {
 
 void StreamServer::InstallOps() {
@@ -59,10 +56,7 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
   }
   owner_.kernel().CountLocalStep();
   ch->Append(std::move(item), band);
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                    1);
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kProduced, owner_, 1);
   ch->ReportDepth();
   Pump(*ch);
 }
@@ -94,10 +88,7 @@ void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   // The item enters the production buffer for the first time (the owner
   // cannot take items back out of a server buffer), so it counts as
   // produced — conservation must see it before Pump serves it.
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                    1);
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kProduced, owner_, 1);
   ch->PutBack(std::move(item), band);
   if (!ch->parked.empty()) {
     Pump(*ch);  // a parked Transfer must not wait for the next Write
@@ -204,16 +195,10 @@ void StreamServer::Pump(ServerChannel& channel) {
     bool end = channel.closed && !channel.Holds() && pos >= channel.next_seq;
     items_delivered_ += fresh;
     transfers_served_++;
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      // Fresh items only: replayed positions were counted when first served.
-      if (fresh > 0) {
-        mon->OnServed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      fresh);
-      }
-      if (channel.sequenced) {
-        mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(),
-                        owner_.kernel().now(), SeqCounter::kServerNext, channel.next_seq);
-      }
+    // Fresh items only: replayed positions were counted when first served.
+    owner_.kernel().ObserveItems(ItemFlow::kServed, owner_, fresh);
+    if (channel.sequenced) {
+      owner_.kernel().ObserveSequence(SeqCounter::kServerNext, owner_, channel.next_seq);
     }
     if (redelivered) {
       owner_.kernel().stats().redeliveries++;
@@ -263,10 +248,7 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
       ch->replay.pop_front();
       ch->replay_base++;
     }
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      SeqCounter::kServerAck, ch->replay_base);
-    }
+    owner_.kernel().ObserveSequence(SeqCounter::kServerAck, owner_, ch->replay_base);
   }
   Parked parked;
   parked.max = args->max;

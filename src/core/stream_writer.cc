@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "src/eden/monitor.h"
-
 namespace eden {
 
 Task<Status> StreamWriter::Send(bool end) {
@@ -19,14 +17,8 @@ Task<Status> StreamWriter::Send(bool end) {
 
 Task<Status> StreamWriter::Push(ValueList items, bool end, Band band) {
   items_written_ += items.size();
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    if (!items.empty()) {
-      mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      items.size());
-      mon->OnPushed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), sink_,
-                    owner_.kernel().now(), items.size());
-    }
-  }
+  owner_.kernel().ObserveItems(ItemFlow::kProduced, owner_, items.size());
+  owner_.kernel().ObserveItems(ItemFlow::kPushed, owner_, items.size(), sink_);
   RetryBudget retry(owner_.kernel().stats(), options_.retry);
   for (;;) {
     pushes_sent_++;
@@ -56,15 +48,11 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
                     replay_.end());
     size_t count = items.size();
     pushes_sent_++;
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      // Only positions beyond the transmission high-water mark are fresh; a
-      // rewound resend after a lost push retransmits already-counted items.
-      if (first + count > sent_high_) {
-        mon->OnPushed(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), sink_,
-                      owner_.kernel().now(), first + count - sent_high_);
-      }
-    }
-    sent_high_ = std::max(sent_high_, first + count);
+    // Only positions beyond the transmission high-water mark are fresh; a
+    // rewound resend after a lost push retransmits already-counted items.
+    const uint64_t high = std::max(sent_high_, first + count);
+    owner_.kernel().ObserveItems(ItemFlow::kPushed, owner_, high - sent_high_, sink_);
+    sent_high_ = high;
     PushArgs args{channel_, std::move(items), end};
     args.seq = first;
     InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush),
@@ -99,10 +87,7 @@ Task<Status> StreamWriter::SendSequenced(bool end) {
       replay_.pop_front();
       replay_base_++;
     }
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnSequence(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      SeqCounter::kWriterAck, replay_base_);
-    }
+    owner_.kernel().ObserveSequence(SeqCounter::kWriterAck, owner_, replay_base_);
     if (cursor_ < next) {
       cursor_ = std::min(next, total);
     }
@@ -124,10 +109,7 @@ Task<Status> StreamWriter::Write(Value item) {
   if (options_.sequenced) {
     replay_.push_back(std::move(item));
     items_written_++;
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      mon->OnProduced(owner_.kernel().HomeShard(owner_.node()), owner_.uid(), owner_.kernel().now(),
-                      1);
-    }
+    owner_.kernel().ObserveItems(ItemFlow::kProduced, owner_, 1);
     uint64_t unsent = replay_base_ + replay_.size() - cursor_;
     if (static_cast<int64_t>(unsent) >= options_.batch) {
       co_return co_await Send(/*end=*/false);
@@ -150,20 +132,6 @@ Task<Status> StreamWriter::WriteControl(Value item) {
   ValueList items;
   items.push_back(std::move(item));
   return Push(std::move(items), /*end=*/false, Band::kControl);
-}
-
-Task<Status> StreamWriter::Flush() {
-  if (ended_) {
-    co_return status_;
-  }
-  if (options_.sequenced) {
-    if (cursor_ >= replay_base_ + replay_.size()) {
-      co_return status_;
-    }
-  } else if (pending_.empty()) {
-    co_return status_;
-  }
-  co_return co_await Send(/*end=*/false);
 }
 
 Task<Status> StreamWriter::End() {

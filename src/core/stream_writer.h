@@ -51,9 +51,6 @@ class StreamWriter {
   // define a total order), so this degrades to a plain Write.
   Task<Status> WriteControl(Value item);
 
-  // Sends any locally queued items now.
-  Task<Status> Flush();
-
   // Flushes remaining items with the end-of-stream marker. Idempotent.
   Task<Status> End();
 

@@ -185,7 +185,6 @@ ClockSource::ClockSource(Kernel& kernel) : Eject(kernel, kType) {
     for (int64_t i = 0; i < max; ++i) {
       items.push_back(Value("tick " + std::to_string(kernel_.now())));
     }
-    reads_served_++;
     ctx.Reply(BatchReply{std::move(items), /*end=*/false});
   });
 }

@@ -140,11 +140,6 @@ class ClockSource : public Eject {
   static constexpr const char* kType = "Clock";
 
   explicit ClockSource(Kernel& kernel);
-
-  uint64_t reads_served() const { return reads_served_; }
-
- private:
-  uint64_t reads_served_ = 0;
 };
 
 // ------------------------------------------------------------ KeyboardSource

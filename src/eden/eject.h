@@ -72,9 +72,6 @@ class Eject {
   void RegisterOp(std::string op, Handler handler) {
     Register(std::move(op), std::move(handler));
   }
-  void RegisterTaskOp(std::string op, TaskHandler handler) {
-    RegisterTask(std::move(op), std::move(handler));
-  }
 
   size_t live_process_count() const { return tasks_.size(); }
 

@@ -51,7 +51,6 @@ class EventQueue {
   // from `key.origin`, e.g. a cross-node delivery executes on the target).
   void Schedule(EventKey key, NodeId exec, Action action) {
     heap_.push(Event{key, exec, std::move(action)});
-    scheduled_total_++;
   }
 
   // Legacy form: equal timestamps fire in insertion order (driver origin,
@@ -80,8 +79,6 @@ class EventQueue {
     return popped;
   }
 
-  uint64_t scheduled_total() const { return scheduled_total_; }
-
  private:
   struct Event {
     EventKey key;
@@ -94,7 +91,6 @@ class EventQueue {
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   uint64_t next_seq_ = 0;
-  uint64_t scheduled_total_ = 0;
 };
 
 }  // namespace eden

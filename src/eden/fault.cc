@@ -5,15 +5,8 @@
 namespace eden {
 
 void FaultInjector::ScheduleCrash(Kernel& kernel, Tick at, Uid victim) {
-  crashes_scheduled_++;
   Tick delay = at > kernel.now() ? at - kernel.now() : 0;
   kernel.ScheduleAction(delay, [&kernel, victim] { kernel.Crash(victim); });
-}
-
-void FaultInjector::ScheduleCrashNode(Kernel& kernel, Tick at, NodeId node) {
-  crashes_scheduled_++;
-  Tick delay = at > kernel.now() ? at - kernel.now() : 0;
-  kernel.ScheduleAction(delay, [&kernel, node] { kernel.CrashNode(node); });
 }
 
 }  // namespace eden

@@ -58,11 +58,8 @@ class FaultInjector {
   // ---- Scheduled failures. `at` is an absolute virtual time; a tick in the
   // past fires immediately. Crashing an already-gone Eject is a no-op.
   void ScheduleCrash(Kernel& kernel, Tick at, Uid victim);
-  void ScheduleCrashNode(Kernel& kernel, Tick at, NodeId node);
 
   uint64_t invocations_dropped() const { return invocations_dropped_; }
-  uint64_t replies_dropped() const { return replies_dropped_; }
-  uint64_t crashes_scheduled() const { return crashes_scheduled_; }
 
  private:
   friend class Kernel;
@@ -72,8 +69,6 @@ class FaultInjector {
   FaultPlan plan_;
   Rng rng_;
   uint64_t invocations_dropped_ = 0;
-  uint64_t replies_dropped_ = 0;
-  uint64_t crashes_scheduled_ = 0;
 };
 
 }  // namespace eden

@@ -445,14 +445,6 @@ InvokeResult Kernel::InvokeAndRun(Uid target, std::string op, Body args) {
   return result;
 }
 
-void Kernel::SpawnExternal(Task<void> task) {
-  if (!task.valid()) {
-    return;
-  }
-  std::coroutine_handle<> h = task.Detach(external_tasks_);
-  ScheduleResume(nullptr, h);
-}
-
 void Kernel::SendInvocation(Uid target, std::string op, Body&& args, WaitRecord wait,
                             Tick deadline) {
   const Uid from = wait.caller;
@@ -642,7 +634,6 @@ void Kernel::SendReply(InvocationId id, Status status, Body&& result) {
   // deadline can still fire (or a later teardown can answer kUnavailable).
   if (fault_ != nullptr && !it->second.caller.IsNil() &&
       fault_->ShouldDropReply()) {
-    fault_->replies_dropped_++;
     stats_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
     EDEN_LOG(*this, kInfo) << "fault: lost reply (id " << id << ")";
     ObserveTrace(TraceEvent::Kind::kDrop, it->second.target, it->second.caller,
@@ -1219,6 +1210,17 @@ void Kernel::DeliverQueueFact(ObsRecord::Kind kind, QueueComponent component,
   } else {
     telemetry_->OnFlowEvent(component, owner, at, static_cast<FlowEvent>(value));
   }
+}
+
+void Kernel::ObserveItemsSlow(ItemFlow flow, const Eject& owner, uint64_t items,
+                              const Uid& peer, int band) {
+  monitor_->OnItems(HomeShard(owner.node()), flow, owner.uid(), peer, now(), items,
+                    band);
+}
+
+void Kernel::ObserveSequenceSlow(SeqCounter counter, const Eject& owner,
+                                 uint64_t value) {
+  monitor_->OnSequence(HomeShard(owner.node()), owner.uid(), now(), counter, value);
 }
 
 void Kernel::FlushObservations() {

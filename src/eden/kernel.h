@@ -51,6 +51,7 @@
 #include "src/eden/stable_store.h"
 #include "src/eden/stats.h"
 #include "src/eden/status.h"
+#include "src/eden/stream_facts.h"
 #include "src/eden/task.h"
 #include "src/eden/trace.h"
 #include "src/eden/type_registry.h"
@@ -67,8 +68,6 @@ class MetricsRegistry;
 class ShardAuditor;
 class ShardProfiler;
 class TelemetrySampler;
-enum class FlowEvent : uint8_t;       // metrics.h; fixed underlying types
-enum class QueueComponent : uint8_t;
 
 // Move-only capability to reply (once) to a delivered invocation. Handlers
 // may reply inline, or stash the handle and reply later — stashing is how
@@ -303,10 +302,6 @@ class Kernel {
   // Convenience: external invoke, then run until the reply arrives.
   InvokeResult InvokeAndRun(Uid target, std::string op, Body args = Value());
 
-  // Detached coroutine owned by the kernel's external driver (nil host UID:
-  // survives until kernel destruction).
-  void SpawnExternal(Task<void> task);
-
   // ---- Execution.
   bool Step();  // processes one event; false if queues empty
   // Runs until quiescent; false if max_events was hit first. Goes wide
@@ -401,7 +396,7 @@ class Kernel {
   ShardAuditor* auditor() const { return auditor_; }
 
   // The stream primitives' one feed for queue facts: a queue-depth sample,
-  // or a flow-control incident (FlowEvent, metrics.h), about a queue of
+  // or a flow-control incident (FlowEvent, stream_facts.h), about a queue of
   // `owner`. The metrics registry records the fact at once, into the tables
   // of the owner's home shard; telemetry receives it stamped with now(),
   // through the same deterministic observation merge as trace events. Two
@@ -417,6 +412,24 @@ class Kernel {
     if (metrics_ != nullptr || telemetry_ != nullptr) {
       ObserveQueueFactSlow(ObsRecord::Kind::kFlowEvent, component, owner,
                            static_cast<uint64_t>(event));
+    }
+  }
+  // The stream primitives' one feed for the invariant monitor's facts:
+  // `items` fresh items of `owner` moved as `flow` names (`peer` is the
+  // wire's other end for kPushed and kPulled; `band` >= 0 names an
+  // acceptor's band), or a new value of one of its sequence counters. The
+  // monitor records them at once, into the tables of the owner's home
+  // shard, stamped with now(). One pointer test when no monitor is
+  // installed; a move of zero items is no fact.
+  void ObserveItems(ItemFlow flow, const Eject& owner, uint64_t items,
+                    const Uid& peer = {}, int band = -1) {
+    if (monitor_ != nullptr && items > 0) {
+      ObserveItemsSlow(flow, owner, items, peer, band);
+    }
+  }
+  void ObserveSequence(SeqCounter counter, const Eject& owner, uint64_t value) {
+    if (monitor_ != nullptr) {
+      ObserveSequenceSlow(counter, owner, value);
     }
   }
   // The home shard of a metrics or monitor record about an Eject on `node`:
@@ -435,7 +448,6 @@ class Kernel {
   // Installing one pins execution to the sequential path (the injector's
   // RNG draw order is part of the deterministic contract).
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
-  FaultInjector* fault_injector() const { return fault_; }
 
   AtomicStats& stats() { return stats_; }
   const AtomicStats& stats() const { return stats_; }
@@ -664,6 +676,10 @@ class Kernel {
   void DeliverTrace(const TraceEvent& event);
   void DeliverQueueFact(ObsRecord::Kind kind, QueueComponent component,
                         const Uid& owner, Tick at, uint64_t value);
+  // The monitor's stream facts, with the owner's home shard and now().
+  void ObserveItemsSlow(ItemFlow flow, const Eject& owner, uint64_t items,
+                        const Uid& peer, int band);
+  void ObserveSequenceSlow(SeqCounter counter, const Eject& owner, uint64_t value);
 
   void ExecuteEvent(Shard& shard, int shard_index, EventQueue::PoppedEvent event,
                     bool parallel);
@@ -696,7 +712,6 @@ class Kernel {
   StableStore store_;
   TypeRegistry types_;
   std::vector<std::string> node_names_;
-  TaskList external_tasks_;
   Tracer tracer_;
   FaultInjector* fault_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;

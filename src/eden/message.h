@@ -134,7 +134,6 @@ struct InvokeResult {
   Body body;
 
   bool ok() const { return status.ok(); }
-  bool end_of_stream() const { return status.is(StatusCode::kEndOfStream); }
   // The reply of an ordinary op; nil when the reply is a stream record.
   const Value& value() const { return BodyValue(body); }
   // The reply as record R, or null when it is anything else (an error reply

@@ -30,6 +30,7 @@
 
 #include "src/eden/shard_tables.h"
 #include "src/eden/stats.h"
+#include "src/eden/stream_facts.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
 
@@ -95,25 +96,7 @@ class Log2Histogram {
   uint64_t max_ = 0;
 };
 
-// Flow-control incidents on one queue (see PROTOCOL.md "Flow control").
-// The fixed underlying type lets kernel.h forward-declare the enum for its
-// telemetry observation hooks without pulling this header into every Eject.
-enum class FlowEvent : uint8_t {
-  kHiwatHit,       // a producer was blocked/withheld at the high watermark
-  kPutBack,        // an item was returned to the front of its band (putbq)
-  kBandOvertake,   // a control item was served ahead of queued data
-};
-
-// The four kinds of queue that report depth and flow facts, interned. The
-// ids ascend in name order, so a map keyed by (component, owner) iterates
-// exactly as one keyed by the name would. Fixed underlying type for the
-// same forward declaration as FlowEvent.
-enum class QueueComponent : uint8_t { kAcceptor, kPipe, kReader, kServer };
-inline constexpr std::string_view kQueueComponentNames[] = {"acceptor", "pipe",
-                                                           "reader", "server"};
-inline std::string_view QueueComponentName(QueueComponent component) {
-  return kQueueComponentNames[static_cast<size_t>(component)];
-}
+// The component a name in kQueueComponentNames stands for.
 std::optional<QueueComponent> QueueComponentNamed(std::string_view name);
 
 // One instrumented queue: its kind and the Eject that owns it.

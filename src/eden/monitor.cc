@@ -31,6 +31,14 @@ const char* KindName(InvariantMonitor::Violation::Kind kind) {
   return "unknown";
 }
 
+// The Flow field each ItemFlow adds to, in ItemFlow order.
+using Flow = InvariantMonitor::Flow;
+constexpr uint64_t Flow::*kFlowFields[] = {&Flow::produced, &Flow::served,
+                                           &Flow::pushed,   &Flow::pulled,
+                                           &Flow::accepted, &Flow::consumed,
+                                           &Flow::putback};
+static_assert(std::size(kFlowFields) == kItemFlowCount);
+
 }  // namespace
 
 template <typename Table>
@@ -136,11 +144,6 @@ void InvariantMonitor::OnTraceEvent(const TraceEvent& event) {
   origin_it->second = event.id > origin_it->second ? event.id : origin_it->second;
 }
 
-void InvariantMonitor::OnProduced(int shard, const Uid& stage, Tick,
-                                  uint64_t items) {
-  Record(flows_, shard, stage, &Flow::produced, items);
-}
-
 void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
                                       const Flow& flow) {
   if (flow.served + flow.pushed > flow.produced) {
@@ -148,31 +151,6 @@ void InvariantMonitor::CheckDelivered(int shard, const Uid& stage, Tick at,
            NameOf(stage) + " delivered " +
                std::to_string(flow.served + flow.pushed) +
                " items but produced only " + std::to_string(flow.produced));
-  }
-}
-
-void InvariantMonitor::OnServed(int shard, const Uid& stage, Tick at,
-                                uint64_t items) {
-  CheckDelivered(shard, stage, at, Record(flows_, shard, stage, &Flow::served, items));
-}
-
-void InvariantMonitor::OnPushed(int shard, const Uid& stage, const Uid& sink,
-                                Tick at, uint64_t items) {
-  pushed_into_.Shard(shard)[sink] += items;
-  CheckDelivered(shard, stage, at, Record(flows_, shard, stage, &Flow::pushed, items));
-}
-
-void InvariantMonitor::OnPulled(int shard, const Uid& stage, const Uid& source,
-                                Tick, uint64_t items) {
-  pulled_from_.Shard(shard)[source] += items;
-  Record(flows_, shard, stage, &Flow::pulled, items);
-}
-
-void InvariantMonitor::OnAccepted(int shard, const Uid& stage, Tick,
-                                  uint64_t items, int band) {
-  Record(flows_, shard, stage, &Flow::accepted, items);
-  if (band >= 0) {
-    Record(bands_, shard, {stage, band}, &Flow::accepted, items);
   }
 }
 
@@ -200,23 +178,28 @@ void InvariantMonitor::CheckTaken(int shard, const Uid& stage, Tick at,
   }
 }
 
-void InvariantMonitor::OnConsumed(int shard, const Uid& stage, Tick at,
-                                  uint64_t items, int band) {
-  CheckTaken(shard, stage, at, -1,
-             Record(flows_, shard, stage, &Flow::consumed, items), false);
-  if (band >= 0) {
-    CheckTaken(shard, stage, at, band,
-               Record(bands_, shard, {stage, band}, &Flow::consumed, items), false);
+void InvariantMonitor::OnItems(int shard, ItemFlow flow, const Uid& stage,
+                               const Uid& peer, Tick at, uint64_t items,
+                               int band) {
+  uint64_t Flow::*field = kFlowFields[static_cast<size_t>(flow)];
+  if (flow == ItemFlow::kPushed) {
+    pushed_into_.Shard(shard)[peer] += items;
+  } else if (flow == ItemFlow::kPulled) {
+    pulled_from_.Shard(shard)[peer] += items;
   }
-}
-
-void InvariantMonitor::OnPutBack(int shard, const Uid& stage, Tick at,
-                                 uint64_t items, int band) {
-  CheckTaken(shard, stage, at, -1,
-             Record(flows_, shard, stage, &Flow::putback, items), true);
+  const bool taken = flow == ItemFlow::kConsumed || flow == ItemFlow::kPutBack;
+  const bool put_back = flow == ItemFlow::kPutBack;
+  const Flow total = Record(flows_, shard, stage, field, items);
+  if (flow == ItemFlow::kServed || flow == ItemFlow::kPushed) {
+    CheckDelivered(shard, stage, at, total);
+  } else if (taken) {
+    CheckTaken(shard, stage, at, -1, total, put_back);
+  }
   if (band >= 0) {
-    CheckTaken(shard, stage, at, band,
-               Record(bands_, shard, {stage, band}, &Flow::putback, items), true);
+    const Flow band_total = Record(bands_, shard, {stage, band}, field, items);
+    if (taken) {
+      CheckTaken(shard, stage, at, band, band_total, put_back);
+    }
   }
 }
 
@@ -415,13 +398,10 @@ Value InvariantMonitor::ToValue() const {
   Value flows;
   for (const auto& [stage, flow] : flow_rows) {
     Value entry;
-    entry.Set("produced", Value(static_cast<int64_t>(flow.produced)));
-    entry.Set("served", Value(static_cast<int64_t>(flow.served)));
-    entry.Set("pushed", Value(static_cast<int64_t>(flow.pushed)));
-    entry.Set("pulled", Value(static_cast<int64_t>(flow.pulled)));
-    entry.Set("accepted", Value(static_cast<int64_t>(flow.accepted)));
-    entry.Set("consumed", Value(static_cast<int64_t>(flow.consumed)));
-    entry.Set("putback", Value(static_cast<int64_t>(flow.putback)));
+    for (size_t f = 0; f < kItemFlowCount; ++f) {
+      entry.Set(std::string(kItemFlowNames[f]),
+                Value(static_cast<int64_t>(flow.*kFlowFields[f])));
+    }
     flows.Set(NameOf(stage), std::move(entry));
   }
   Value bands;

@@ -17,9 +17,12 @@
 //     the ring-buffered TraceRecorder a missing parent is a real defect) and
 //     counts invocations per op for the (n+1)(m+1) identity;
 //   - the stream primitives report item movements (produced, served, pushed,
-//     pulled, accepted, consumed) and sequence-counter advances, from which
-//     the monitor checks per-stage flow conservation and, at quiescence, the
-//     wire conservation `items sent over edge == items received over edge`.
+//     pulled, accepted, consumed, put back) and sequence-counter advances
+//     through the kernel's feed (Kernel::ObserveItems, ObserveSequence),
+//     which gates on the monitor being installed, so the stream ends name
+//     no instrument; from these the monitor checks per-stage flow
+//     conservation and, at quiescence, the wire conservation `items sent
+//     over edge == items received over edge`.
 //
 // Counting is *fresh-only*: replayed/redelivered items (sequenced recovery)
 // are excluded by every reporting site, so retries account exactly once and
@@ -76,20 +79,12 @@
 
 #include "src/eden/clock.h"
 #include "src/eden/shard_tables.h"
+#include "src/eden/stream_facts.h"
 #include "src/eden/trace.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
 
 namespace eden {
-
-// The per-stage sequence counters OnSequence checks, interned. The ids
-// ascend in name order, as QueueComponent's do.
-enum class SeqCounter : uint8_t { kAcceptorNext, kServerAck, kServerNext, kWriterAck };
-inline constexpr std::string_view kSeqCounterNames[] = {"acceptor.next", "server.ack",
-                                                        "server.next", "writer.ack"};
-inline std::string_view SeqCounterName(SeqCounter counter) {
-  return kSeqCounterNames[static_cast<size_t>(counter)];
-}
 
 class InvariantMonitor {
  public:
@@ -139,28 +134,21 @@ class InvariantMonitor {
   // ---- Kernel feed (installed via Kernel::set_monitor).
   void OnTraceEvent(const TraceEvent& event);
 
-  // ---- Stream-primitive feed. Callers gate on kernel().monitor() so the
-  // uninstalled fast path stays one pointer test. `shard` is the stage's
-  // home shard, Kernel::HomeShard (see the file comment; 0 outside a
-  // kernel); `at` is kernel().now() — passed in so the monitor needs no
-  // back-pointer to the kernel.
-  void OnProduced(int shard, const Uid& stage, Tick at, uint64_t items);
-  void OnServed(int shard, const Uid& stage, Tick at, uint64_t items);
-  void OnPushed(int shard, const Uid& stage, const Uid& sink, Tick at,
-                uint64_t items);
-  void OnPulled(int shard, const Uid& stage, const Uid& source, Tick at,
-                uint64_t items);
-  // `band` >= 0 additionally charges a banded queue (acceptors); pass the
-  // default -1 from unbanded sites (readers consuming pulled items).
-  void OnAccepted(int shard, const Uid& stage, Tick at, uint64_t items,
-                  int band = -1);
-  void OnConsumed(int shard, const Uid& stage, Tick at, uint64_t items,
-                  int band = -1);
-  // A put-back (STREAMS putbq): `items` previously reported via OnConsumed
-  // returned to the front of their queue and will be consumed again. Nets
-  // out of the conservation checks instead of counting twice.
-  void OnPutBack(int shard, const Uid& stage, Tick at, uint64_t items,
-                 int band = -1);
+  // ---- Stream-primitive feed, through Kernel::ObserveItems and
+  // ObserveSequence: the kernel gates on the monitor being installed (and
+  // on `items` > 0) and supplies `shard`, the stage's home shard
+  // (Kernel::HomeShard; see the file comment), and `at`, its now(), so the
+  // monitor needs no back-pointer to the kernel.
+  // `items` fresh items moved through `stage`, added to the Flow field that
+  // `flow` names. `peer` is the other end of the wire for kPushed (the
+  // acceptor pushed into) and kPulled (the server pulled from); other flows
+  // ignore it. `band` >= 0 also charges that band of the stage's banded
+  // queues (acceptors pass it; -1 charges none). A kPutBack (STREAMS putbq)
+  // returns items previously consumed to the front of their queue, to be
+  // consumed again: it nets out of the conservation checks instead of
+  // counting twice.
+  void OnItems(int shard, ItemFlow flow, const Uid& stage, const Uid& peer,
+               Tick at, uint64_t items, int band);
   // Monotonicity check for a per-stage counter (server next/ack, acceptor
   // next, writer ack). Violation if `value` regresses.
   void OnSequence(int shard, const Uid& stage, Tick at, SeqCounter counter,

@@ -208,8 +208,6 @@ class TelemetrySampler {
     Tick last_zero_at = -1;       // most recent tick the depth read 0
   };
   std::vector<QueueView> QueueSeries() const;
-  // New (component, queue) pairs refused once max_queue_series was reached.
-  uint64_t queue_series_dropped() const { return queue_series_dropped_; }
 
   struct TopEntry {
     std::string name;
@@ -220,16 +218,6 @@ class TelemetrySampler {
   std::vector<TopEntry> TopHiwat() const;        // slowest consumers
   uint64_t invocation_total() const { return invoke_sketch_.total(); }
   uint64_t hiwat_total() const { return hiwat_sketch_.total(); }
-
-  // Windowed latency deltas (kInvoke->kReply round trips, virtual ticks).
-  int64_t latency_first_window() const { return latency_first_window_; }
-  const std::deque<Log2Histogram>& latency_windows() const {
-    return latency_ring_;
-  }
-  // Evicted latency windows, merged (Log2Histogram::Merge) so nothing is
-  // silently lost off the ring front.
-  const Log2Histogram& latency_evicted() const { return latency_evicted_; }
-  const Log2Histogram& latency_cumulative() const { return latency_total_; }
 
   // The value of a named series in the most recently closed window, for SLO
   // evaluation. Grammar:
@@ -275,7 +263,6 @@ class TelemetrySampler {
   // zero counters and carried-forward gauges), leaving `at`'s window open.
   void Advance(Tick at);
   void CloseWindow();
-  void Bump(Counter counter) { counters_[counter].current++; }
   QueueState* QueueFor(QueueComponent component, const Uid& owner);
   std::string NameOf(const Uid& uid) const;
 

@@ -192,28 +192,4 @@ std::string Value::ToString() const {
   return out;
 }
 
-std::string_view ValueKindName(Value::Kind kind) {
-  switch (kind) {
-    case Value::Kind::kNil:
-      return "nil";
-    case Value::Kind::kBool:
-      return "bool";
-    case Value::Kind::kInt:
-      return "int";
-    case Value::Kind::kReal:
-      return "real";
-    case Value::Kind::kStr:
-      return "str";
-    case Value::Kind::kBytes:
-      return "bytes";
-    case Value::Kind::kUid:
-      return "uid";
-    case Value::Kind::kList:
-      return "list";
-    case Value::Kind::kMap:
-      return "map";
-  }
-  return "unknown";
-}
-
 }  // namespace eden

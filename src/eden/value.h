@@ -113,8 +113,6 @@ class Value {
   friend class Codec;
 };
 
-std::string_view ValueKindName(Value::Kind kind);
-
 }  // namespace eden
 
 #endif  // SRC_EDEN_VALUE_H_

@@ -38,7 +38,6 @@ class DirectoryEject : public Eject {
   // Local helpers for setup code (the protocol path is AddEntry etc.).
   bool AddEntryLocal(const std::string& name, Uid uid);
   std::optional<Uid> LookupLocal(const std::string& name) const;
-  size_t entry_count() const { return entries_.size(); }
 
  private:
   void HandleList(InvocationContext ctx);

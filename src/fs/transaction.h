@@ -102,8 +102,6 @@ class TransactionManager : public Eject {
   Value SaveState() override;
   void RestoreState(const Value& state) override;
 
-  size_t active_transaction_count() const { return transactions_.size(); }
-
  private:
   enum class TxnState { kActive, kPreparing, kCommitted, kAborted };
   struct Txn {
@@ -116,7 +114,6 @@ class TransactionManager : public Eject {
   static std::string StateName(TxnState state);
 
   void HandleBegin(InvocationContext ctx);
-  void HandleEnlist(InvocationContext ctx);
   Task<void> HandleCommit(InvocationContext ctx);
   Task<void> HandleAbort(InvocationContext ctx);
   void HandleStatus(InvocationContext ctx);

@@ -14,15 +14,6 @@ std::optional<std::string> HostFs::Get(const std::string& path) const {
   return it->second;
 }
 
-std::vector<std::string> HostFs::Paths() const {
-  std::vector<std::string> paths;
-  paths.reserve(files_.size());
-  for (const auto& [path, text] : files_) {
-    paths.push_back(path);
-  }
-  return paths;
-}
-
 // ------------------------------------------------------------- UnixFileSource
 
 UnixFileSource::UnixFileSource(Kernel& kernel, std::string text)

@@ -38,8 +38,6 @@ class HostFs {
   void Put(const std::string& path, std::string text) { files_[path] = std::move(text); }
   std::optional<std::string> Get(const std::string& path) const;
   bool Exists(const std::string& path) const { return files_.count(path) > 0; }
-  bool Remove(const std::string& path) { return files_.erase(path) > 0; }
-  std::vector<std::string> Paths() const;
   size_t size() const { return files_.size(); }
 
  private:

@@ -270,9 +270,7 @@ class Overserver : public Eject {
  public:
   explicit Overserver(Kernel& host) : Eject(host, "Overserver") {
     Register("Serve", [this](InvocationContext ctx) {
-      if (InvariantMonitor* mon = kernel().monitor()) {
-        mon->OnServed(kernel().HomeShard(node()), uid(), kernel().now(), 1);
-      }
+      kernel().ObserveItems(ItemFlow::kServed, *this, 1);
       ctx.Reply();
     });
   }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/endpoints.h"
@@ -202,9 +204,7 @@ class Overserver : public Eject {
  public:
   explicit Overserver(Kernel& host) : Eject(host, "Overserver") {
     Register("Serve", [this](InvocationContext ctx) {
-      if (InvariantMonitor* mon = kernel().monitor()) {
-        mon->OnServed(kernel().HomeShard(node()), uid(), kernel().now(), 1);
-      }
+      kernel().ObserveItems(ItemFlow::kServed, *this, 1);
       ctx.Reply();
     });
   }
@@ -262,6 +262,94 @@ TEST(MonitorTest, ShardedViolationsKeepOneOrder) {
   const OrderedViolations four = RunOverservers(4);
   EXPECT_EQ(four.listed, one.listed);
   EXPECT_EQ(four.emitted, one.emitted);
+}
+
+// A stage that only reports: the test calls the kernel feed on its behalf.
+class Stage : public Eject {
+ public:
+  explicit Stage(Kernel& host) : Eject(host, "Stage") {}
+};
+
+// Kernel::ObserveItems adds each ItemFlow to exactly its own Flow field, the
+// wire flows reach Check()'s edge accounting, a banded take is checked
+// against its band, and a move of zero items leaves no row, on one shard
+// and across four.
+TEST(MonitorTest, EveryItemFlowLandsInItsField) {
+  using Flow = InvariantMonitor::Flow;
+  const std::pair<ItemFlow, uint64_t Flow::*> fields[] = {
+      {ItemFlow::kProduced, &Flow::produced}, {ItemFlow::kServed, &Flow::served},
+      {ItemFlow::kPushed, &Flow::pushed},     {ItemFlow::kPulled, &Flow::pulled},
+      {ItemFlow::kAccepted, &Flow::accepted}, {ItemFlow::kConsumed, &Flow::consumed},
+      {ItemFlow::kPutBack, &Flow::putback}};
+  auto values = [](const Flow& f) {
+    return std::vector<uint64_t>{f.produced, f.served,   f.pushed, f.pulled,
+                                 f.accepted, f.consumed, f.putback};
+  };
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    KernelOptions options;
+    options.shards = shards;
+    Kernel kernel(options);
+    InvariantMonitor monitor;
+    kernel.set_monitor(&monitor);
+    std::vector<NodeId> nodes;
+    for (int i = 0; i < 4; ++i) {
+      nodes.push_back(kernel.AddNode("n" + std::to_string(i)));
+    }
+    size_t made = 0;
+    auto stage = [&](const std::string& name) -> Stage& {
+      Stage& created = kernel.Create<Stage>(nodes[made++ % nodes.size()]);
+      monitor.Label(created.uid(), name);
+      return created;
+    };
+
+    for (const auto& [flow, field] : fields) {
+      Stage& one = stage("stage");
+      kernel.ObserveItems(flow, one, 3);
+      Flow want;
+      want.*field = 3;
+      const std::map<Uid, Flow> flows = monitor.flows();
+      ASSERT_EQ(flows.count(one.uid()), 1u);
+      EXPECT_EQ(values(flows.at(one.uid())), values(want));
+    }
+
+    Stage& idle = stage("idle");
+    for (const auto& [flow, field] : fields) {
+      kernel.ObserveItems(flow, idle, 0);
+    }
+    EXPECT_EQ(monitor.flows().count(idle.uid()), 0u);
+
+    monitor.Clear();
+    Stage& server = stage("server");
+    Stage& reader = stage("reader");
+    Stage& writer = stage("writer");
+    Stage& acceptor = stage("acceptor");
+    kernel.ObserveItems(ItemFlow::kProduced, server, 2);
+    kernel.ObserveItems(ItemFlow::kServed, server, 2);
+    kernel.ObserveItems(ItemFlow::kPulled, reader, 2, server.uid());
+    kernel.ObserveItems(ItemFlow::kProduced, writer, 3);
+    kernel.ObserveItems(ItemFlow::kPushed, writer, 2, acceptor.uid());
+    kernel.ObserveItems(ItemFlow::kAccepted, acceptor, 2);
+    EXPECT_TRUE(monitor.Check().empty());
+    kernel.ObserveItems(ItemFlow::kPulled, reader, 1, server.uid());
+    kernel.ObserveItems(ItemFlow::kPushed, writer, 1, acceptor.uid());
+    std::vector<std::string> wire;
+    for (const InvariantMonitor::Violation& v : monitor.Check()) {
+      wire.push_back(v.detail);
+    }
+    EXPECT_EQ(wire, (std::vector<std::string>{
+                        "server served 2 items but consumers ingested 3 (lost on the wire)",
+                        "writers pushed 3 items at acceptor but it accepted 2 (lost on the wire)"}));
+
+    Stage& banded = stage("banded");
+    kernel.ObserveItems(ItemFlow::kAccepted, banded, 1, Uid(), BandIndex(Band::kData));
+    kernel.ObserveItems(ItemFlow::kAccepted, banded, 1, Uid(), BandIndex(Band::kControl));
+    EXPECT_TRUE(monitor.violations().empty());
+    kernel.ObserveItems(ItemFlow::kConsumed, banded, 2, Uid(), BandIndex(Band::kData));
+    ASSERT_EQ(monitor.violations().size(), 1u);
+    EXPECT_EQ(monitor.violations()[0].detail,
+              "banded band 0 handed out 2 items but only 1 arrived on it");
+  }
 }
 
 TEST(MonitorTest, ClearResetsEverything) {
